@@ -5,7 +5,7 @@ export PYTHONPATH := src
 
 .PHONY: test smoke test-attacks campaign-demo matrix-demo \
 	scaling-demo distributed-demo serve-demo bench bench-solver \
-	bench-attack
+	bench-attack perfbench-smoke
 
 test:
 	$(PY) -m pytest -x -q
@@ -82,3 +82,12 @@ bench-solver:
 # oracle-dominated cell). Writes benchmarks/artifacts/BENCH_attack.json.
 bench-attack:
 	$(PY) -m pytest benchmarks/bench_attack.py -q
+
+# One short run of the benchmark's bmc-verify workload, for its output
+# checks: n_dips = 2^(kappa_s*|I|), key_ok and the warm replay matching
+# the cold value. Fails unless the last line reports "correct": true.
+perfbench-smoke:
+	@out=$$($(PY) perfbench/run.py --workload bmc-verify --seed 0 \
+	    --seconds 10 --trace 0) || exit 1; \
+	printf '%s\n' "$$out"; \
+	printf '%s\n' "$$out" | tail -n 1 | grep -q '"correct": true'

@@ -70,8 +70,9 @@ class AttackOutcome:
 
     ``timing`` holds the wall-clock phase breakdown (e.g. the SAT
     family's ``solve_seconds`` / ``oracle_seconds`` / ``encode_seconds``
-    DIP-loop phases).  Like ``seconds`` it is measured wall-clock, so it
-    sits *outside* ``metrics``: metrics stay deterministic and the
+    DIP-loop phases and its ``verify_seconds`` BMC key checks).  Like
+    ``seconds`` it is measured wall-clock, so it sits *outside*
+    ``metrics``: metrics stay deterministic and the
     serial/parallel/cached byte-identity promise only ever excepts the
     wall-clock fields.
     """
@@ -169,11 +170,13 @@ def _key_metrics(result, locked):
 
 
 def _phase_timing(result):
-    """DIP-loop phase breakdown, aggregated over unrolling depths."""
+    """DIP-loop phase breakdown plus key verification, aggregated over
+    unrolling depths."""
     return {
         "solve_seconds": result.solve_seconds,
         "oracle_seconds": result.oracle_seconds,
         "encode_seconds": result.encode_seconds,
+        "verify_seconds": result.verify_seconds,
     }
 
 

@@ -38,10 +38,10 @@ class SeqAttackResult:
     across serial and batched oracle loops; ``oracle_calls`` counts
     oracle invocations (a batched round is one call).  The phase timers
     aggregate the per-depth COMB-SAT phase breakdown (miter solving,
-    oracle simulation, constraint pinning); ``oracle_seconds``
-    additionally counts candidate-key verification, which is pure
-    simulation (locked replay plus oracle queries) and belongs to the
-    same phase.
+    oracle simulation, constraint pinning) plus candidate-key
+    verification: ``verify_seconds`` holds the BMC checks against the
+    reference, while black-box verification, which is locked replay
+    plus oracle queries, counts towards ``oracle_seconds``.
     """
 
     success: bool
@@ -58,6 +58,7 @@ class SeqAttackResult:
     solve_seconds: float = 0.0
     oracle_seconds: float = 0.0
     encode_seconds: float = 0.0
+    verify_seconds: float = 0.0
 
 
 def unrolled_attack_view(locked_netlist, kappa, depth):
@@ -161,9 +162,15 @@ def sequential_sat_attack(locked_netlist, kappa, oracle, known_depth=None,
     depths_tried = []
     dips_per_depth = {}
     total_dips = 0
-    solve_seconds = 0.0
-    oracle_seconds = 0.0
-    encode_seconds = 0.0
+    timers = dict.fromkeys(("solve_seconds", "oracle_seconds",
+                            "encode_seconds", "verify_seconds"), 0.0)
+
+    def finish(**fields):
+        return SeqAttackResult(
+            n_dips=total_dips, seconds=time.perf_counter() - start,
+            depths_tried=depths_tried, dips_per_depth=dips_per_depth,
+            oracle_queries=oracle.pattern_count,
+            oracle_calls=oracle.query_count, **timers, **fields)
 
     # One solver for the whole attack when the engine supports cross-
     # phase reuse (the portfolio's `reset`); otherwise each depth builds
@@ -203,17 +210,8 @@ def sequential_sat_attack(locked_netlist, kappa, oracle, known_depth=None,
             if time_budget is not None:
                 budget_left = time_budget - (time.perf_counter() - start)
                 if budget_left <= 0:
-                    return SeqAttackResult(
-                        success=False, key=None, n_dips=total_dips,
-                        seconds=time.perf_counter() - start, depth=depth,
-                        depths_tried=depths_tried,
-                        dips_per_depth=dips_per_depth,
-                        stop_reason="time_budget",
-                        oracle_queries=oracle.pattern_count,
-                        oracle_calls=oracle.query_count,
-                        solve_seconds=solve_seconds,
-                        oracle_seconds=oracle_seconds,
-                        encode_seconds=encode_seconds)
+                    return finish(success=False, key=None, depth=depth,
+                                  stop_reason="time_budget")
 
             if shared_solver is not None:
                 if len(depths_tried) > 1:  # same fleet, fresh formula
@@ -230,21 +228,12 @@ def sequential_sat_attack(locked_netlist, kappa, oracle, known_depth=None,
                 oracle_batch_fn=oracle_batch_fn, **engine)
             total_dips += result.n_dips
             dips_per_depth[depth] = result.n_dips
-            solve_seconds += result.solve_seconds
-            oracle_seconds += result.oracle_seconds
-            encode_seconds += result.encode_seconds
+            for phase in ("solve_seconds", "oracle_seconds",
+                          "encode_seconds"):
+                timers[phase] += getattr(result, phase)
             if not result.success:
-                return SeqAttackResult(
-                    success=False, key=None, n_dips=total_dips,
-                    seconds=time.perf_counter() - start, depth=depth,
-                    depths_tried=depths_tried,
-                    dips_per_depth=dips_per_depth,
-                    stop_reason=result.stop_reason,
-                    oracle_queries=oracle.pattern_count,
-                    oracle_calls=oracle.query_count,
-                    solve_seconds=solve_seconds,
-                    oracle_seconds=oracle_seconds,
-                    encode_seconds=encode_seconds)
+                return finish(success=False, key=None, depth=depth,
+                              stop_reason=result.stop_reason)
 
             candidate = _key_from_model(result.key, locked_netlist.inputs,
                                         kappa)
@@ -252,27 +241,15 @@ def sequential_sat_attack(locked_netlist, kappa, oracle, known_depth=None,
             ok, counterexample_depth = _verify_candidate(
                 locked_netlist, kappa, candidate, oracle, reference,
                 rng, check_rounds, depth, batched=oracle_batch)
-            oracle_seconds += time.perf_counter() - phase_start
+            timers["verify_seconds" if reference is not None
+                   else "oracle_seconds"] += time.perf_counter() - phase_start
             if ok:
-                return SeqAttackResult(
-                    success=True, key=candidate, n_dips=total_dips,
-                    seconds=time.perf_counter() - start, depth=depth,
-                    depths_tried=depths_tried,
-                    dips_per_depth=dips_per_depth,
-                    verified=True, oracle_queries=oracle.pattern_count,
-                    oracle_calls=oracle.query_count,
-                    solve_seconds=solve_seconds,
-                    oracle_seconds=oracle_seconds,
-                    encode_seconds=encode_seconds)
+                return finish(success=True, key=candidate, depth=depth,
+                              verified=True)
             depth = max(depth + 1, counterexample_depth)
 
-        return SeqAttackResult(
-            success=False, key=None, n_dips=total_dips,
-            seconds=time.perf_counter() - start, depth=depth - 1,
-            depths_tried=depths_tried, dips_per_depth=dips_per_depth,
-            stop_reason="max_depth", oracle_queries=oracle.pattern_count,
-            oracle_calls=oracle.query_count, solve_seconds=solve_seconds,
-            oracle_seconds=oracle_seconds, encode_seconds=encode_seconds)
+        return finish(success=False, key=None, depth=depth - 1,
+                      stop_reason="max_depth")
     finally:
         if shared_solver is not None:
             shared_solver.close()

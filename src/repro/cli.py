@@ -529,7 +529,8 @@ def cmd_attack(args, out):
               f"oracle {result.oracle_seconds:.2f}s "
               f"({result.oracle_queries} patterns / "
               f"{result.oracle_calls} calls), "
-              f"encode {result.encode_seconds:.2f}s\n")
+              f"encode {result.encode_seconds:.2f}s, "
+              f"verify {result.verify_seconds:.2f}s\n")
     if result.success:
         out.write(f"key recovered in {result.n_dips} DIPs "
                   f"({result.seconds:.2f}s, depth {result.depth}): "

@@ -80,7 +80,28 @@ class InputSpecializer:
                 mapping[net] = net
         for q in netlist.flops:
             mapping[q] = q
+        self.fold(builder, mapping)
 
+        for q, flop in netlist.flops.items():
+            result.replace_flop_d(q, mapping[flop.d])
+        for net in netlist.outputs:
+            result.add_output(mapping[net])
+
+        # Eager building can orphan gates whose consumers later folded
+        # away; sweep them so the pass is idempotent.
+        return sweep_dead_gates(result).validate()
+
+    def fold(self, builder, mapping):
+        """Rebuild the needed cone gate by gate through ``builder``.
+
+        ``mapping`` sends every primary input and flop Q to a net of the
+        builder's netlist (a constant net for a fixed input); it is
+        extended in place with the folded image of every rebuilt gate.
+        Replaying a circuit cycle by cycle through one builder, with each
+        cycle's flop Qs mapped to the previous cycle's D images, unrolls
+        it folded and shared.
+        """
+        netlist = self._netlist
         for net in self._fold_order:
             gate = netlist.gate(net)
             if gate.op is GateOp.CONST0:
@@ -91,20 +112,17 @@ class InputSpecializer:
                 mapped_inputs = [mapping[src] for src in gate.inputs]
                 mapping[net] = _OP_BUILDERS[gate.op](builder, mapped_inputs)
 
-        for q, flop in netlist.flops.items():
-            result.replace_flop_d(q, mapping[flop.d])
-        for net in netlist.outputs:
-            result.add_output(mapping[net])
 
-        # Eager building can orphan gates whose consumers later folded
-        # away; sweep them so the pass is idempotent.
-        live_roots = set(result.outputs)
-        live_roots.update(flop.d for flop in result.flops.values())
-        live, _ = result.combinational_fanin(live_roots)
-        for net in list(result.gates):
-            if net not in live:
-                result.remove_gate(net)
-        return result.validate()
+def sweep_dead_gates(netlist):
+    """Delete, in place, every gate outside the fanin of the outputs and
+    flop D inputs; returns ``netlist``."""
+    live_roots = set(netlist.outputs)
+    live_roots.update(flop.d for flop in netlist.flops.values())
+    live, _ = netlist.combinational_fanin(live_roots)
+    for net in list(netlist.gates):
+        if net not in live:
+            netlist.remove_gate(net)
+    return netlist
 
 
 def simplified(netlist, constant_inputs=None, name=None):

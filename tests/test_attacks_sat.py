@@ -1,6 +1,9 @@
 """Tests for the SAT attacks: COMB-SAT on combinational locks and the
 sequential attack on TriLock, including exact Theorem-1 DIP counts."""
 
+import io
+import time
+
 import pytest
 
 from repro.attacks import (
@@ -167,6 +170,78 @@ class TestSequentialAttack:
             known_depth=1, reference=locked.original)
         assert result.success
         assert result.oracle_queries >= result.n_dips
+
+
+class TestVerifyTiming:
+    """Reference-mode key verification is a BMC check, booked as
+    ``verify_seconds``; black-box verification stays oracle time."""
+
+    DELAY = 0.5
+
+    @pytest.fixture
+    def slow_bmc(self, monkeypatch):
+        import repro.attacks.seq_sat as seq_sat
+
+        real = seq_sat.bounded_equivalence
+
+        def slow(*args, **kwargs):
+            time.sleep(self.DELAY)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(seq_sat, "bounded_equivalence", slow)
+
+    def test_bmc_is_verify_time_not_oracle_time(self, slow_bmc):
+        locked = locked_factory(kappa_s=1, kappa_f=1, alpha=0.6, seed=3)
+        result = sequential_sat_attack(
+            locked.netlist, locked.config.kappa,
+            SimulationOracle(locked.original), known_depth=1,
+            reference=locked.original)
+        assert result.success
+        assert result.verify_seconds >= self.DELAY
+        assert result.oracle_seconds < self.DELAY
+
+    def test_black_box_verification_is_oracle_time(self, monkeypatch):
+        import repro.attacks.seq_sat as seq_sat
+
+        real = seq_sat._verify_candidate
+
+        def slow(*args, **kwargs):
+            time.sleep(self.DELAY)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(seq_sat, "_verify_candidate", slow)
+        locked = locked_factory(kappa_s=1, kappa_f=1, alpha=0.6, seed=3)
+        result = sequential_sat_attack(
+            locked.netlist, locked.config.kappa,
+            SimulationOracle(locked.original), known_depth=1)
+        assert result.success
+        assert result.verify_seconds == 0.0
+        assert result.oracle_seconds >= self.DELAY
+
+    def test_cell_timing_and_cli_phases_show_verify(self, slow_bmc,
+                                                    tmp_path):
+        from repro.api import ATTACKS
+        from repro.bench.iscas import S27_BENCH
+        from repro.cli import main
+
+        locked = locked_factory(kappa_s=1, kappa_f=1, alpha=0.6, seed=3)
+        outcome = ATTACKS.get("seq-sat").run(locked)
+        assert outcome.timing["verify_seconds"] >= self.DELAY
+        assert outcome.timing["oracle_seconds"] < self.DELAY
+
+        design = tmp_path / "s27.bench"
+        design.write_text(S27_BENCH)
+        locked_path = str(tmp_path / "locked.bench")
+        key_path = str(tmp_path / "s27.key")
+        main(["lock", str(design), "--kappa-s", "1", "--seed", "3",
+              "--out", locked_path, "--key-out", key_path], out=io.StringIO())
+        out = io.StringIO()
+        assert main(["attack", str(design), locked_path,
+                     "--key", key_path], out=out) == 0
+        phases = out.getvalue().splitlines()[-1]
+        assert phases.startswith("phases: ")
+        verify = float(phases.split("verify ")[1].rstrip("s"))
+        assert verify >= self.DELAY
 
 
 class TestDepthEstimation:

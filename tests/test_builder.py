@@ -63,6 +63,30 @@ class TestConstantFolding:
         assert b.mux(a, c, c) == c
 
 
+class TestNoGateTableCopies:
+    def test_building_never_copies_the_gate_table(self, monkeypatch):
+        """``Netlist.gates`` returns a copy of the whole gate table; the
+        builder must look drivers up in place, or every NOT it emits
+        costs O(gates) and building turns quadratic."""
+        netlist, b, inputs = fresh_builder(6)
+
+        def copying_view(_netlist):
+            raise AssertionError("LogicBuilder copied the gate table")
+
+        monkeypatch.setattr(Netlist, "gates", property(copying_view))
+        a, c, d, e, f, g = inputs
+        assert b.not_(b.not_(a)) == a
+        b.mux(c, d, e)
+        b.xnor2(f, g)
+        b.nand_(a, c, d)
+        b.nor_(e, f)
+        b.sub_words([a, c, d], [e, f, g])
+        b.neq_const(inputs, 37)
+        b.compare_const(inputs, 21)
+        monkeypatch.undo()
+        netlist.validate()
+
+
 class TestSharing:
     def test_identical_gates_share_one_net(self):
         netlist, b, (a, c) = fresh_builder(2)
