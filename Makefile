@@ -5,7 +5,7 @@ export PYTHONPATH := src
 
 .PHONY: test smoke test-attacks campaign-demo matrix-demo \
 	scaling-demo distributed-demo serve-demo bench bench-solver \
-	bench-attack perfbench-smoke
+	bench-attack perfbench-smoke table1-standard
 
 test:
 	$(PY) -m pytest -x -q
@@ -91,3 +91,16 @@ perfbench-smoke:
 	    --seconds 10 --trace 0) || exit 1; \
 	printf '%s\n' "$$out"; \
 	printf '%s\n' "$$out" | tail -n 1 | grep -q '"correct": true'
+
+# Table I at --effort standard, recomputed: the b12 kappa_s=1 and
+# kappa_s=2 rows are attacked for real and must pin exactly 32 and 1024
+# DIPs and recover the correct key. A DIP loop whose per-DIP cost grows
+# with the DIPs pinned takes minutes here instead of seconds.
+table1-standard:
+	@out=$$($(PY) -m repro.experiments table1 --effort standard \
+	    --no-cache) || exit 1; \
+	printf '%s\n' "$$out"; \
+	for row in '1 +32' '2 +1024'; do \
+	    printf '%s\n' "$$out" | grep -Eq "^b12 +5 +$$row +yes +[^ ]+ +yes +yes " \
+	        || { echo "table1-standard: b12 row '$$row' not measured with the correct key" >&2; exit 1; }; \
+	done

@@ -309,12 +309,16 @@ def test_comb_sat_attack_wall_clock(artifact_sink, bench_json_sink):
         trace = oracle.query(vectors)
         return tuple(bit for cycle in trace for bit in cycle)
 
+    # Min of three: the whole loop takes well under a second, so one
+    # run's timer noise could decide the 15% guard below.
     results, seconds = {}, {}
     for name, factory in (("arena", Solver), ("legacy", LegacySolver)):
-        start = time.process_time()
-        results[name] = comb_sat_attack(view, key_inputs, oracle_fn,
-                                        solver=factory())
-        seconds[name] = time.process_time() - start
+        for _ in range(3):
+            start = time.process_time()
+            results[name] = comb_sat_attack(view, key_inputs, oracle_fn,
+                                            solver=factory())
+            seconds[name] = min(seconds.get(name, float("inf")),
+                                time.process_time() - start)
 
     assert results["arena"].success and results["legacy"].success
     assert results["arena"].key == results["legacy"].key

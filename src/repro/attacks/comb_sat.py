@@ -33,13 +33,13 @@ sequence).
 from __future__ import annotations
 
 import itertools
-import os
 import time
 from dataclasses import dataclass, field
 
-from repro.cnf import Cnf, encode
+from repro.cnf import Cnf, encode_cone, encode_gate
 from repro.errors import AttackError
-from repro.netlist.transform import InputSpecializer, simplified
+from repro.netlist import GateOp, LogicBuilder, Netlist
+from repro.netlist.transform import InputSpecializer
 from repro.sat import make_attack_solver
 
 
@@ -50,7 +50,7 @@ class CombSatResult:
     ``solve_seconds`` / ``oracle_seconds`` / ``encode_seconds`` break the
     wall-clock into the DIP loop's three phases: miter solving (DIP
     extraction + key extraction), oracle queries, and I/O-pair pinning
-    (specialise + CNF encode).  The remainder of ``seconds`` is loop
+    (fold + CNF encode).  The remainder of ``seconds`` is loop
     overhead.
     """
 
@@ -67,39 +67,27 @@ class CombSatResult:
     encode_seconds: float = 0.0
 
 
-def _miter_copy_map(netlist, key_set, tag):
-    """Rename map for a miter copy: shared data inputs, per-copy keys."""
-    mapping = {}
-    for net in netlist.nets():
-        if net in key_set:
-            mapping[net] = f"key_{tag}::{net}"
-        elif netlist.is_input(net):
-            mapping[net] = net  # data inputs are shared between copies
-        else:
-            mapping[net] = f"mtr_{tag}::{net}"
-    return mapping
-
-
-def _constraint_copy_map(netlist, key_set, tag, index):
-    """Rename map for an I/O-constraint copy: shares only the key nets."""
-    mapping = {}
-    for net in netlist.nets():
-        if net in key_set:
-            mapping[net] = f"key_{tag}::{net}"
-        else:
-            mapping[net] = f"io_{tag}{index}::{net}"
-    return mapping
-
-
 class DipEngine:
     """Miter plus constraint store of one COMB-SAT attack.
 
-    Builds the two-copy miter over ``locked`` (shared data inputs,
-    per-copy key inputs), then serves the DIP loop: batched DIP
-    extraction, I/O-pair pinning, and final key extraction.  The solver
-    is either injected (``solver=...``) or built from the ``portfolio``
-    and ``attack_jobs`` knobs; an engine that built its own solver also
-    tears it down in :meth:`close`.
+    One problem netlist, grown through one
+    :class:`~repro.netlist.builder.LogicBuilder` for the engine's whole
+    lifetime, holds every circuit copy the attack needs. The miter is two
+    :meth:`~repro.netlist.transform.InputSpecializer.fold` replays of
+    ``locked``, one per key copy (``key_a``/``key_b`` input nets) over
+    shared data-input nets, so data-only logic hashes together and an
+    output pair that lands on one net cannot differ. Each pinned I/O pair
+    replays ``locked`` again per key copy with the DIP bits as builder
+    constants: the key-only logic hashes onto the miter's nets and logic
+    built for earlier DIPs onto theirs, so only the gates that have no
+    solver variable yet are encoded. The solver is either injected
+    (``solver=...``) or built from the ``portfolio`` and ``attack_jobs``
+    knobs; an engine that built its own solver also tears it down in
+    :meth:`close`.
+
+    ``map_a``/``map_b`` send each net of ``locked`` to its image in key
+    copy *a*/*b* of the miter, and ``var_of`` each encoded problem net
+    to its solver variable (every data and key net has one).
     """
 
     def __init__(self, locked, key_inputs, solver=None, portfolio=None,
@@ -111,6 +99,9 @@ class DipEngine:
         if unknown:
             raise AttackError(
                 f"key inputs not in circuit: {sorted(unknown)[:4]}")
+        if locked.flops:
+            raise AttackError("COMB-SAT needs a combinational circuit "
+                              f"({len(locked.flops)} flops given)")
         self.data_inputs = [net for net in locked.inputs
                             if net not in self.key_set]
 
@@ -124,46 +115,53 @@ class DipEngine:
         self.solver = solver if solver is not None else \
             make_attack_solver(portfolio=portfolio, attack_jobs=attack_jobs)
 
-        self.map_a = _miter_copy_map(locked, self.key_set, "a")
-        self.map_b = _miter_copy_map(locked, self.key_set, "b")
+        self._problem = Netlist("dip_problem")
+        self._keys = {tag: {net: f"key_{tag}::{net}"
+                            for net in self.key_inputs}
+                      for tag in ("a", "b")}
         cnf = Cnf()
         self.var_of = {}
-        encode(locked.renamed(self.map_a, name="miter_a"), cnf=cnf,
-               var_of=self.var_of)
-        encode(locked.renamed(self.map_b, name="miter_b"), cnf=cnf,
-               var_of=self.var_of)
+        for net in locked.inputs:
+            self._input(self._keys["a"].get(net, net), cnf)
+        for net in locked.inputs:
+            if net in self.key_set:
+                self._input(self._keys["b"][net], cnf)
+        self._builder = LogicBuilder(self._problem, prefix="dip")
+        self._folder = InputSpecializer(locked)
+        data = {net: net for net in self.data_inputs}
+        self.map_a = self._fold(data, "a")
+        self.map_b = self._fold(data, "b")
+
+        # Gated miter: act -> (some output pair differs).
+        differing = [(self.map_a[net], self.map_b[net])
+                     for net in locked.outputs
+                     if self.map_a[net] != self.map_b[net]]
+        encode_cone(self._problem, [net for pair in differing for net in pair],
+                    cnf, self.var_of)
+        self.act = cnf.new_var()
+        diff_lits = []
+        for net_a, net_b in differing:
+            diff = cnf.new_var()
+            encode_gate(cnf, GateOp.XOR, diff,
+                        [self.var_of[net_a], self.var_of[net_b]])
+            diff_lits.append(diff)
+        cnf.add_clause([-self.act] + diff_lits)
         self.solver.ensure_vars(cnf.num_vars)
         if not self.solver.add_cnf(cnf):
             raise AttackError("locked circuit CNF is unsatisfiable")
-
-        # Gated miter: act -> (some output pair differs).
-        self.act = self.solver.new_var()
-        diff_lits = []
-        for net in locked.outputs:
-            lit_a = self.var_of[self.map_a[net]]
-            lit_b = self.var_of[self.map_b[net]]
-            diff = self.solver.new_var()
-            for clause in _xor_clauses(diff, lit_a, lit_b):
-                self.solver.add_clause(clause)
-            diff_lits.append(diff)
-        self.solver.add_clause([-self.act] + diff_lits)
         self.n_pinned = 0
 
-        # Pinning scaffolding, reused across every pinned DIP: the
-        # specializer caches the fold order of `locked`, the Cnf arena is
-        # recycled per batch, and the key-variable map lets copy "b" of
-        # each constraint be mirrored from copy "a" by literal remapping
-        # instead of a second specialise+encode pass.
-        # REPRO_LEGACY_PIN=1 keeps the pre-cache pinning path selectable
-        # for benchmarking and differential tests.
-        self._specializer = None
-        self._pin_cnf = Cnf()
-        self._key_var_b_of_a = {
-            self.var_of[self.map_a[net]]: self.var_of[self.map_b[net]]
-            for net in self.key_inputs
-        }
-        self._legacy_pin = os.environ.get(
-            "REPRO_LEGACY_PIN", "") not in ("", "0")
+    def _input(self, net, cnf):
+        self._problem.add_input(net)
+        self.var_of[net] = cnf.new_var()
+
+    def _fold(self, assignments, tag):
+        """Replay ``locked`` through the engine's builder under key copy
+        ``tag``; returns the map from its nets to problem nets."""
+        mapping = dict(assignments)
+        mapping.update(self._keys[tag])
+        self._folder.fold(self._builder, mapping)
+        return mapping
 
     # ------------------------------------------------------------------
     def _solve(self, assumptions=()):
@@ -222,106 +220,40 @@ class DipEngine:
     def pin_response(self, dip, response):
         """Constrain both key copies to produce ``response`` on ``dip``.
 
-        The circuit is first partially evaluated on the (constant) DIP,
-        so each copy encodes only the key-dependent cone — the standard
-        constraint-compaction trick that keeps the clause store linear in
-        key logic rather than circuit size.
+        Each key copy replays the circuit with the DIP bits as constants,
+        so the constraint is only the key-dependent cone, and of that only
+        the gates no earlier pin (or the miter) encoded already.
         """
         self.pin_batch([(dip, response)])
 
     def pin_batch(self, pairs):
-        """Pin a batch of ``(dip, response)`` I/O pairs in one arena pass.
+        """Pin a batch of ``(dip, response)`` I/O pairs.
 
         Clause-for-clause identical to calling :meth:`pin_response` per
         pair: each pair contributes copy-"a" clauses, copy-"a" response
-        units, copy-"b" clauses, copy-"b" units, in batch order.  The
-        fast path specialises through the cached
-        :class:`~repro.netlist.transform.InputSpecializer`, encodes copy
-        "a" into one reused Cnf arena, and *mirrors* copy "b" by literal
-        remapping: the two copies are structurally identical and share
-        only the key variables with the rest of the store, so copy "b"
-        is copy "a" with ``key_a`` variables swapped for ``key_b`` and
-        every fresh variable shifted by the copy's fresh-variable count —
-        exactly what a second ``encode()`` would allocate, without paying
-        for the second specialise+encode pass.
+        units, copy-"b" clauses, copy-"b" units, in batch order.
         """
         pairs = [(dip, tuple(response)) for dip, response in pairs]
         n_outputs = len(self.locked.outputs)
         for _dip, response in pairs:
             if len(response) != n_outputs:
                 raise AttackError("oracle response width mismatch")
-        if self._legacy_pin:
-            for dip, response in pairs:
-                self._pin_legacy(dip, response)
-            return
-        if self._specializer is None:
-            self._specializer = InputSpecializer(self.locked)
-        key_b_of_a = self._key_var_b_of_a
-        cnf = self._pin_cnf
-        cnf.num_vars = self.solver.num_vars
-        cnf.clauses.clear()
-        staged = []
+        cnf = Cnf(self.solver.num_vars)
+        const = self._builder.const
         for dip, response in pairs:
             self.n_pinned += 1
-            index = self.n_pinned
-            assignments = {net: (1 if bit else 0)
-                           for net, bit in zip(self.data_inputs, dip)}
-            specialized = self._specializer.specialize(
-                assignments, name=f"io_spec{index}")
-            mapping = _constraint_copy_map(specialized, self.key_set, "a",
-                                           index)
-            copy_a = specialized.renamed(mapping, name=f"io_a{index}")
-            start = len(cnf.clauses)
-            base_vars = cnf.num_vars
-            circuit = encode(copy_a, cnf=cnf, var_of=self.var_of)
-            n_fresh = cnf.num_vars - base_vars
-            a_clauses = cnf.clauses[start:]
-            a_units = [[circuit.lit(net, bool(bit))]
-                       for net, bit in zip(copy_a.outputs, response)]
-
-            def mirror(lit, _base=base_vars, _shift=n_fresh):
-                var = lit if lit > 0 else -lit
-                mapped = key_b_of_a.get(var)
-                if mapped is None:
-                    mapped = var + _shift if var > _base else var
-                return mapped if lit > 0 else -mapped
-
-            staged.extend(a_clauses)
-            staged.extend(a_units)
-            staged.extend([mirror(lit) for lit in clause]
-                          for clause in a_clauses)
-            staged.extend([mirror(lit) for lit in clause]
-                          for clause in a_units)
-            cnf.num_vars += n_fresh  # reserve copy-b's variables
+            constants = {net: const(bit)
+                         for net, bit in zip(self.data_inputs, dip)}
+            for tag in ("a", "b"):
+                mapping = self._fold(constants, tag)
+                outputs = [mapping[net] for net in self.locked.outputs]
+                encode_cone(self._problem, outputs, cnf, self.var_of)
+                for net, bit in zip(outputs, response):
+                    var = self.var_of[net]
+                    cnf.add_clause([var if bit else -var])
         self.solver.ensure_vars(cnf.num_vars)
-        for clause in staged:
+        for clause in cnf.clauses:
             self.solver.add_clause(clause)
-
-    def _pin_legacy(self, dip, response):
-        """Pre-PR-10 pinning path: fresh specialise + encode per copy.
-
-        Kept (behind ``REPRO_LEGACY_PIN=1``) as the benchmarking baseline
-        and as the differential reference that the mirrored fast path
-        must match clause for clause.
-        """
-        self.n_pinned += 1
-        index = self.n_pinned
-        assignments = {net: (1 if bit else 0)
-                       for net, bit in zip(self.data_inputs, dip)}
-        specialized = simplified(self.locked, constant_inputs=assignments,
-                                 name=f"io_spec{index}")
-        for tag in ("a", "b"):
-            mapping = _constraint_copy_map(specialized, self.key_set, tag,
-                                           index)
-            copy = specialized.renamed(mapping, name=f"io_{tag}{index}")
-            cnf = Cnf(self.solver.num_vars)
-            circuit = encode(copy, cnf=cnf, var_of=self.var_of)
-            self.solver.ensure_vars(cnf.num_vars)
-            for clause in cnf.clauses:
-                self.solver.add_clause(clause)
-            for position, bit in enumerate(response):
-                net = copy.outputs[position]
-                self.solver.add_clause([circuit.lit(net, bool(bit))])
 
     def solve_key(self):
         """A key consistent with every pinned I/O pair (raises if none)."""
@@ -386,7 +318,9 @@ def comb_sat_attack(locked, key_inputs, oracle_fn, max_dips=None,
         byte-identical to the historical loop, accounting included.
     ``max_dips`` / ``time_budget``
         Optional effort caps; exceeding one returns ``success=False`` with
-        ``stop_reason`` set accordingly.
+        ``stop_reason`` set accordingly.  ``max_dips`` DIPs may be pinned;
+        the attack fails with ``"max_dips"`` only if a DIP remains after
+        them.
     ``dip_batch``
         DIPs extracted (and oracle responses pinned) per miter round;
         1 reproduces the classic one-DIP-per-iteration loop exactly.
@@ -407,20 +341,23 @@ def comb_sat_attack(locked, key_inputs, oracle_fn, max_dips=None,
         dips = []
         stop_reason = "no_more_dips"
         while True:
-            if max_dips is not None and n_dips >= max_dips:
-                stop_reason = "max_dips"
-                break
             if deadline is not None and time.perf_counter() > deadline:
                 stop_reason = "time_budget"
                 break
+            # A spent DIP budget still gets one miter solve: an attack
+            # that needs exactly max_dips DIPs succeeds.
+            spent = max_dips is not None and n_dips >= max_dips
             limit = dip_batch
             if max_dips is not None:
-                limit = min(limit, max_dips - n_dips)
+                limit = max(1, min(limit, max_dips - n_dips))
             phase_start = time.perf_counter()
             batch = engine.find_dip_batch(limit, deadline=deadline)
             solve_seconds += time.perf_counter() - phase_start
             if not batch:
                 break  # no distinguishing pattern remains
+            if spent:
+                stop_reason = "max_dips"
+                break
             n_rounds += 1
             responses = None
             if oracle_batch_fn is not None and len(batch) > 1:
@@ -477,11 +414,3 @@ def comb_sat_attack(locked, key_inputs, oracle_fn, max_dips=None,
             solve_seconds=solve_seconds, oracle_seconds=oracle_seconds,
             encode_seconds=encode_seconds)
 
-
-def _xor_clauses(out_var, lit_a, lit_b):
-    return [
-        [-out_var, lit_a, lit_b],
-        [-out_var, -lit_a, -lit_b],
-        [out_var, -lit_a, lit_b],
-        [out_var, lit_a, -lit_b],
-    ]

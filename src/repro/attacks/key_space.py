@@ -13,13 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.attacks.comb_sat import comb_sat_attack
+from repro.attacks.comb_sat import DipEngine, comb_sat_attack
 from repro.attacks.oracle import SimulationOracle
 from repro.attacks.seq_sat import unrolled_attack_view
-from repro.cnf import Cnf, encode
 from repro.errors import AttackError
 from repro.netlist.transform import simplified
-from repro.sat import Solver
 
 #: Guard: 2^(kappa*|I|) keys are enumerated after every DIP.
 _MAX_KEY_BITS = 12
@@ -62,8 +60,7 @@ def key_space_trace(locked, depth=None, max_dips=None):
     if depth is None:
         depth = locked.config.kappa_s
 
-    view, key_inputs, data_inputs = unrolled_attack_view(
-        locked.netlist, kappa, depth)
+    view, key_inputs, _ = unrolled_attack_view(locked.netlist, kappa, depth)
     view = simplified(view, name="keyspace_view")
     oracle = SimulationOracle(locked.original)
 
@@ -81,59 +78,37 @@ def key_space_trace(locked, depth=None, max_dips=None):
         return oracle.query_batch_flat(
             [unflatten(flat) for flat in flat_batch])
 
-    # Collect the attack's DIPs once, then count survivors after each
-    # prefix of the DIP sequence.
+    # Collect the attack's DIPs once, then pin them into one fresh engine
+    # and count the survivors after each.
     result = comb_sat_attack(view, key_inputs, oracle_fn,
                              max_dips=max_dips, collect_dips=True,
                              oracle_batch_fn=oracle_batch_fn)
     responses = ([] if not result.dips else oracle.query_batch_flat(
         [unflatten(dip) for dip in result.dips]))
     survivors = []
-    for upto in range(1, len(result.dips) + 1):
-        survivors.append(_count_consistent_keys(
-            view, key_inputs, data_inputs,
-            result.dips[:upto], responses[:upto]))
+    with DipEngine(view, key_inputs) as engine:
+        for dip, response in zip(result.dips, responses):
+            engine.pin_response(dip, response)
+            survivors.append(_count_consistent_keys(engine))
     return KeySpaceTrace(initial_keys=1 << key_bits, survivors=survivors)
 
 
-def _count_consistent_keys(view, key_inputs, data_inputs, dips, responses):
-    """Count keys consistent with the observed I/O pairs.
+def _count_consistent_keys(engine):
+    """Count the keys consistent with the I/O pairs pinned so far.
 
-    One circuit copy per I/O pair, all sharing the key variables, then
-    model enumeration projected onto the key variables with blocking
-    clauses.
+    Enumerates the key-copy "a" models under blocking clauses gated on a
+    fresh selector literal, then retires the selector, so the blocking
+    clauses never constrain a later count.
     """
-    solver = Solver()
-    cnf = Cnf()
-    var_of = {}
-    base = encode(view, cnf=cnf, var_of=var_of)
-    solver.ensure_vars(cnf.num_vars)
-    if not solver.add_cnf(cnf):
-        return 0
-
-    key_set = set(key_inputs)
-    for index, (dip, response) in enumerate(zip(dips, responses)):
-        mapping = {net: (net if net in key_set else f"ks{index}::{net}")
-                   for net in view.nets()}
-        copy = view.renamed(mapping, name=f"ks{index}")
-        extra = Cnf(solver.num_vars)
-        circuit = encode(copy, cnf=extra, var_of=var_of)
-        solver.ensure_vars(extra.num_vars)
-        for clause in extra.clauses:
-            solver.add_clause(clause)
-        for net, bit in zip(data_inputs, dip):
-            solver.add_clause([circuit.lit(mapping[net], bool(bit))])
-        for net, bit in zip(view.outputs, response):
-            solver.add_clause([circuit.lit(mapping[net], bool(bit))])
-
-    key_vars = [base.var_of[net] for net in key_inputs]
+    solver = engine.solver
+    selector = solver.new_var()
+    key_vars = [engine.var_of[engine.map_a[net]] for net in engine.key_inputs]
     count = 0
-    while solver.solve():
-        model = [solver.model_value(v) for v in key_vars]
+    while solver.solve(assumptions=[selector]):
         count += 1
         if count > (1 << _MAX_KEY_BITS):
             raise AttackError("runaway key enumeration")
-        blocking = [-v if value else v for v, value in zip(key_vars, model)]
-        if not solver.add_clause(blocking):
-            break
+        solver.add_clause([-selector] + [
+            -var if solver.model_value(var) else var for var in key_vars])
+    solver.add_clause([-selector])
     return count

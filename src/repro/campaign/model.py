@@ -26,7 +26,10 @@ from repro.errors import CampaignError
 #: v4: circuits became a plugin axis — matrix cells address circuits by
 #: canonical provider spec string instead of (name, scale) pairs, and
 #: the experiment grids were rebuilt on matrix cells.
-CODE_VERSION = "trilock-campaign-v4"
+#: v5: the DIP engine pins I/O pairs through one hashed problem netlist
+#: (a new clause store, so a new DIP walk where keys are not unique on
+#: the window), and a DIP budget the attack exactly needs succeeds.
+CODE_VERSION = "trilock-campaign-v5"
 
 
 def canonical_json(value):

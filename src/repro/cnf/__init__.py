@@ -2,7 +2,13 @@
 
 from repro.cnf.dimacs import dump_dimacs, dumps_dimacs, load_dimacs, loads_dimacs
 from repro.cnf.formula import Cnf
-from repro.cnf.tseitin import CircuitCnf, encode, miter_different_outputs
+from repro.cnf.tseitin import (
+    CircuitCnf,
+    encode,
+    encode_cone,
+    encode_gate,
+    miter_different_outputs,
+)
 
 __all__ = [
     "Cnf",
@@ -10,6 +16,8 @@ __all__ = [
     "dump_dimacs",
     "dumps_dimacs",
     "encode",
+    "encode_cone",
+    "encode_gate",
     "load_dimacs",
     "loads_dimacs",
     "miter_different_outputs",

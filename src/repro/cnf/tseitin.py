@@ -52,6 +52,37 @@ def _xor2_clauses(cnf, out_lit, a, b):
     cnf.add_clause([out_lit, a, -b])
 
 
+def encode_gate(cnf, op, out, lits):
+    """Add the clauses tying variable ``out`` to ``op`` over ``lits``.
+
+    ``lits`` are the gate's input variables in order; an n-ary XOR/XNOR
+    chains through fresh variables of ``cnf``.
+    """
+    if op is GateOp.CONST0:
+        cnf.add_clause([-out])
+    elif op is GateOp.CONST1:
+        cnf.add_clause([out])
+    elif op is GateOp.BUF:
+        cnf.add_clause([-out, lits[0]])
+        cnf.add_clause([out, -lits[0]])
+    elif op is GateOp.NOT:
+        cnf.add_clause([-out, -lits[0]])
+        cnf.add_clause([out, lits[0]])
+    elif op is GateOp.AND or op is GateOp.NAND:
+        _and_clauses(cnf, out if op is GateOp.AND else -out, lits)
+    elif op is GateOp.OR or op is GateOp.NOR:
+        _or_clauses(cnf, out if op is GateOp.OR else -out, lits)
+    elif op is GateOp.XOR or op is GateOp.XNOR:
+        acc = lits[0]
+        for nxt in lits[1:-1]:
+            aux = cnf.new_var()
+            _xor2_clauses(cnf, aux, acc, nxt)
+            acc = aux
+        _xor2_clauses(cnf, out if op is GateOp.XOR else -out, acc, lits[-1])
+    else:  # pragma: no cover - alphabet is closed
+        raise CnfError(f"cannot encode operator {op}")
+
+
 def encode(netlist, cnf=None, var_of=None):
     """Encode ``netlist``'s combinational logic into CNF.
 
@@ -78,37 +109,35 @@ def encode(netlist, cnf=None, var_of=None):
     for net in netlist.topo_order():
         gate = netlist.gate(net)
         out = var(net)
-        op = gate.op
-        if op is GateOp.CONST0:
-            cnf.add_clause([-out])
-        elif op is GateOp.CONST1:
-            cnf.add_clause([out])
-        elif op is GateOp.BUF:
-            a = var(gate.inputs[0])
-            cnf.add_clause([-out, a])
-            cnf.add_clause([out, -a])
-        elif op is GateOp.NOT:
-            a = var(gate.inputs[0])
-            cnf.add_clause([-out, -a])
-            cnf.add_clause([out, a])
-        elif op is GateOp.AND or op is GateOp.NAND:
-            lits = [var(src) for src in gate.inputs]
-            _and_clauses(cnf, out if op is GateOp.AND else -out, lits)
-        elif op is GateOp.OR or op is GateOp.NOR:
-            lits = [var(src) for src in gate.inputs]
-            _or_clauses(cnf, out if op is GateOp.OR else -out, lits)
-        elif op is GateOp.XOR or op is GateOp.XNOR:
-            lits = [var(src) for src in gate.inputs]
-            acc = lits[0]
-            for nxt in lits[1:-1]:
-                aux = cnf.new_var()
-                _xor2_clauses(cnf, aux, acc, nxt)
-                acc = aux
-            _xor2_clauses(cnf, out if op is GateOp.XOR else -out, acc, lits[-1])
-        else:  # pragma: no cover - alphabet is closed
-            raise CnfError(f"cannot encode operator {op}")
+        encode_gate(cnf, gate.op, out, [var(src) for src in gate.inputs])
 
     return CircuitCnf(cnf, var_of)
+
+
+def encode_cone(netlist, roots, cnf, var_of):
+    """Encode the gates of the fanin cone of ``roots`` that ``var_of``
+    does not hold yet, each after its inputs.
+
+    The incremental counterpart of :func:`encode`: a netlist that only
+    grows can be encoded piece by piece into one ``cnf``/``var_of``
+    pair, and logic already encoded is never encoded twice. Every
+    primary input and flop Q the cone reaches must already be in
+    ``var_of``.
+    """
+    stack = [net for net in reversed(roots) if net not in var_of]
+    while stack:
+        net = stack[-1]
+        if net in var_of:
+            stack.pop()
+            continue
+        gate = netlist.gate(net)
+        pending = [src for src in gate.inputs if src not in var_of]
+        if pending:
+            stack.extend(reversed(pending))
+            continue
+        stack.pop()
+        out = var_of[net] = cnf.new_var()
+        encode_gate(cnf, gate.op, out, [var_of[src] for src in gate.inputs])
 
 
 def miter_different_outputs(circuit_cnf, outputs_a, outputs_b):

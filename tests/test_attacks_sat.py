@@ -14,6 +14,7 @@ from repro.attacks import (
     sequential_sat_attack,
     unrolled_attack_view,
 )
+from repro.api.cells import matrix_cell
 from repro.core import TriLockConfig, lock, naive_config, ndip_naive, ndip_trilock
 from repro.netlist import GateOp, Netlist
 from repro.errors import AttackError
@@ -62,10 +63,34 @@ class TestCombSat:
         assert not result.success
         assert result.stop_reason == "max_dips"
 
+    def test_budget_of_exactly_the_needed_dips_succeeds(self):
+        """Spending the whole DIP budget is not failure: one more miter
+        solve tells "no DIP remains" from "out of budget"."""
+        netlist, xs, ks = xor_locked_comb()
+        secret = (False, True, True)
+
+        def oracle(data_bits):
+            assignment = dict(zip(xs, data_bits))
+            assignment.update(dict(zip(ks, secret)))
+            return reference_outputs(netlist, assignment)
+
+        needed = comb_sat_attack(netlist, ks, oracle).n_dips
+        exact = comb_sat_attack(netlist, ks, oracle, max_dips=needed)
+        assert exact.success and exact.n_dips == needed
+        assert tuple(exact.key[k] for k in ks) == secret
+        short = comb_sat_attack(netlist, ks, oracle, max_dips=needed - 1)
+        assert not short.success and short.stop_reason == "max_dips"
+        assert short.n_dips == needed - 1
+
     def test_unknown_key_net_rejected(self):
         netlist, _, _ = xor_locked_comb()
         with pytest.raises(AttackError):
             comb_sat_attack(netlist, ["ghost"], lambda d: ())
+
+    def test_sequential_circuit_rejected(self, locked_tiny):
+        netlist = locked_tiny.netlist
+        with pytest.raises(AttackError, match="combinational"):
+            comb_sat_attack(netlist, netlist.inputs[:1], lambda d: ())
 
     def test_collect_dips(self):
         netlist, xs, ks = xor_locked_comb(2)
@@ -139,6 +164,16 @@ class TestSequentialAttack:
         assert not result.success
         assert result.stop_reason == "max_dips"
         assert result.n_dips == 3
+
+    def test_dip_budget_equal_to_theorem1_count_succeeds(self):
+        """The off-by-one this guards: with max_dips equal to the
+        2^(κs·|I|) = 256 DIPs the attack needs, the cell used to stop
+        with stop_reason="max_dips" after pinning all 256."""
+        value = matrix_cell("synth?gates=120&ffs=8&pis=4&pos=3&seed=0", 0,
+                            "trilock?kappa_s=2", "seq-sat", max_dips=256)
+        assert value["success"] is True
+        assert value["metrics"]["n_dips"] == 256 == ndip_trilock(2, 4)
+        assert value["metrics"]["key_ok"] is True
 
     def test_alpha_does_not_change_dip_count(self):
         """The decoupling claim: FC knob alpha leaves ndip untouched."""

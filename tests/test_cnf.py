@@ -8,6 +8,7 @@ from repro.cnf import (
     Cnf,
     dumps_dimacs,
     encode,
+    encode_cone,
     loads_dimacs,
     miter_different_outputs,
 )
@@ -112,6 +113,30 @@ class TestTseitin:
                 if netlist.is_gate(net) or netlist.is_input(net):
                     if net in values:
                         assert model[var] == values[net], net
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cone_encoding_is_incremental_and_exact(self, seed):
+        """encode_cone encodes just the cone of its roots, never a gate
+        twice, and its models project onto the truth table."""
+        netlist = random_comb_netlist(seed, n_inputs=3, n_gates=8)
+        cnf, var_of = Cnf(), {}
+        for net in netlist.inputs:
+            var_of[net] = cnf.new_var()
+        first = netlist.outputs[:1]
+        encode_cone(netlist, first, cnf, var_of)
+        cone, _ = netlist.combinational_fanin(first)
+        assert set(var_of) == set(netlist.inputs) | cone
+        encoded = dict(var_of)
+        encode_cone(netlist, netlist.outputs, cnf, var_of)
+        assert {net: var_of[net] for net in encoded} == encoded
+
+        models = brute_force_models(cnf)
+        assert len(models) == 2 ** len(netlist.inputs)
+        for model in models:
+            values = reference_eval(netlist, {
+                net: model[var_of[net]] for net in netlist.inputs})
+            for net, var in var_of.items():
+                assert model[var] == values[net], net
 
     def test_shared_encoding_reuses_variables(self):
         netlist = random_comb_netlist(1)

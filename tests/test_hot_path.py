@@ -224,7 +224,7 @@ class TestFcSeedDerivation:
     def test_code_version_bumped(self):
         from repro.campaign import CODE_VERSION
 
-        assert CODE_VERSION == "trilock-campaign-v4"
+        assert CODE_VERSION == "trilock-campaign-v5"
 
 
 # ----------------------------------------------------------------------

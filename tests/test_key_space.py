@@ -24,6 +24,7 @@ class TestTriLockElimination:
         assert trace.survivors[-1] == 1
         # First DIP eliminates far more than later ones (EF sweep).
         assert trace.eliminated_per_dip[0] > trace.eliminated_per_dip[-1]
+        assert trace.survivors == [7, 5, 3, 1]
 
     def test_later_dips_kill_one_suffix_block_each(self):
         locked = locked_factory(kappa_s=1, kappa_f=1, alpha=0.6, seed=3)
@@ -44,7 +45,7 @@ class TestNaiveElimination:
         trace = key_space_trace(locked)
         assert trace.n_dips == trace.initial_keys - 1
         assert all(e == 1 for e in trace.eliminated_per_dip)
-        assert trace.survivors[-1] == 1
+        assert trace.survivors == list(range(15, 0, -1))
 
 
 class TestGuards:
@@ -63,3 +64,4 @@ class TestGuards:
         locked = locked_factory(kappa_s=1, kappa_f=1, alpha=0.6, seed=3)
         trace = key_space_trace(locked, max_dips=2)
         assert trace.n_dips == 2
+        assert trace.survivors == [7, 5]

@@ -1,4 +1,4 @@
-"""The batched word-parallel oracle and the hoisted pinning path.
+"""The batched word-parallel oracle and the fold-and-hash pinning path.
 
 Two invariants anchor this file:
 
@@ -6,25 +6,34 @@ Two invariants anchor this file:
   change — every trace, the DIP walk, the recovered key, and the
   feasible key set are bit-identical to the serial loop; only
   ``query_count`` collapses while ``pattern_count`` stays comparable;
-* the hoisted pinning path (shared :class:`InputSpecializer` + arena
-  batch encode + copy-b literal mirroring) feeds the solver the exact
-  clause stream the legacy re-simplify-per-pin path did, so serial
-  attack runs stay byte-identical across the rewrite (no CODE_VERSION
-  bump).
+* pinning an I/O pair through the engine's one hashed problem netlist
+  admits exactly the keys that encoding a full specialised copy per pin
+  and key copy does, while encoding only the pin's DIP-specific gates.
 """
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.attacks import SimulationOracle, sequential_sat_attack
 from repro.attacks.comb_sat import DipEngine
-from repro.attacks.seq_sat import unrolled_attack_view, _with_folded_constants
+from repro.attacks.seq_sat import (
+    _unflatten,
+    _with_folded_constants,
+    unrolled_attack_view,
+)
+from repro.cnf import Cnf, encode
+from repro.core.baselines import lock_naive
+from repro.core.rivals import lock_sarlock
 from repro.errors import AttackError
-from repro.netlist.transform import InputSpecializer
-from repro.sat import make_backend
+from repro.netlist.transform import InputSpecializer, simplified
+from repro.sat import Solver, make_backend
 from repro.sim import make_rng
 from repro.sim.random_vectors import random_vectors
 
-from tests.conftest import _locked_tiny, locked_factory
+from tests.conftest import _locked_tiny, _tiny_circuit, locked_factory
 
 
 def _random_sequences(n_sequences, width, cycles, seed=7):
@@ -136,8 +145,7 @@ class TestBatchedSerialDifferential:
 
 
 # ----------------------------------------------------------------------
-# Pinning equivalence: the hoisted path must feed the solver the exact
-# clause stream the legacy path did.
+# Pinning: the fold-and-hash engine against a copy-per-pin reference.
 # ----------------------------------------------------------------------
 class SpySolver:
     """Wraps a real backend and logs every clause it is fed."""
@@ -181,27 +189,84 @@ def _random_pins(engine, locked, n_pins, seed=11):
     return pins
 
 
+def reference_feasible_keys(view, key_inputs, pins):
+    """Copy-per-pin reference: specialise the view on each DIP, rename a
+    full copy per key copy, encode it and pin its outputs; then every
+    key assignment of copy "a" that the store admits."""
+    key_set = set(key_inputs)
+    data_inputs = [net for net in view.inputs if net not in key_set]
+    cnf, var_of = Cnf(), {}
+    for tag in ("a", "b"):
+        for net in key_inputs:
+            var_of[f"key_{tag}::{net}"] = cnf.new_var()
+    for index, (dip, response) in enumerate(pins):
+        fixed = simplified(view, dict(zip(data_inputs, map(int, dip))))
+        for tag in ("a", "b"):
+            copy = fixed.renamed({
+                net: f"key_{tag}::{net}" if net in key_set
+                else f"io_{tag}{index}::{net}" for net in fixed.nets()})
+            circuit = encode(copy, cnf=cnf, var_of=var_of)
+            for net, bit in zip(copy.outputs, response):
+                cnf.add_clause([circuit.lit(net, bool(bit))])
+    solver = Solver()
+    solver.add_cnf(cnf)
+    return _admitted_keys(solver,
+                          [var_of[f"key_a::{net}"] for net in key_inputs])
+
+
+def _admitted_keys(solver, key_vars):
+    """Every assignment of ``key_vars`` the solver's store admits."""
+    return {bits for bits in itertools.product((False, True),
+                                               repeat=len(key_vars))
+            if solver.solve([var if bit else -var
+                             for var, bit in zip(key_vars, bits)])}
+
+
+def _scheme_lock(scheme):
+    circuit = _tiny_circuit()
+    if scheme == "naive":
+        return lock_naive(circuit, 2)
+    if scheme == "sarlock":
+        return lock_sarlock(circuit, kappa=1)
+    kappa_s, s_pairs = scheme
+    return locked_factory(kappa_s=kappa_s, s_pairs=s_pairs)
+
+
 class TestPinningEquivalence:
-    def test_legacy_and_hoisted_clause_streams_identical(self,
-                                                         monkeypatch):
-        locked, view, key_inputs = _attack_view()
-        streams, var_counts, feasible = {}, {}, {}
-        for mode in ("legacy", "hoisted"):
-            if mode == "legacy":
-                monkeypatch.setenv("REPRO_LEGACY_PIN", "1")
-            else:
-                monkeypatch.delenv("REPRO_LEGACY_PIN", raising=False)
-            spy = SpySolver()
-            with DipEngine(view, key_inputs, solver=spy) as engine:
-                pins = _random_pins(engine, locked, n_pins=6)
-                for dip, response in pins:
-                    engine.pin_response(dip, response)
-                streams[mode] = list(spy.clause_log)
-                var_counts[mode] = spy.num_vars
-                feasible[mode] = engine.feasible_keys()
-        assert streams["hoisted"] == streams["legacy"]
-        assert var_counts["hoisted"] == var_counts["legacy"]
-        assert feasible["hoisted"] == feasible["legacy"]
+    @given(scheme=st.sampled_from([(1, 0), (1, 4), (2, 0), (2, 4),
+                                   "naive", "sarlock"]),
+           depth=st.integers(1, 2),
+           patterns=st.lists(st.integers(0, 15), max_size=6),
+           flip=st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_feasible_keys_match_copy_per_pin_reference(self, scheme, depth,
+                                                        patterns, flip):
+        """Same candidate-key set as the copy-per-pin path, for honest
+        oracle responses and (``flip``) for an inconsistent last one."""
+        locked = _scheme_lock(scheme)
+        view, key_inputs, _ = unrolled_attack_view(
+            locked.netlist, locked.config.kappa, depth)
+        view = _with_folded_constants(view)
+        width = len(locked.original.inputs)
+        oracle = SimulationOracle(locked.original)
+        pins = []
+        for pattern in patterns:
+            dip = tuple(bool(pattern >> bit & 1)
+                        for bit in range(width * depth))
+            trace = oracle.query(_unflatten(dip, width, depth))
+            pins.append((dip, tuple(bit for cycle in trace
+                                    for bit in cycle)))
+        if pins and flip:
+            dip, response = pins[-1]
+            pins[-1] = (dip, (not response[0],) + response[1:])
+        expected = reference_feasible_keys(view, key_inputs, pins)
+        with DipEngine(view, key_inputs) as engine:
+            for dip, response in pins:
+                engine.pin_response(dip, response)
+            assert engine.feasible_keys() == expected
+            # Both key copies are pinned, not just the one read back.
+            key_b = [engine.var_of[engine.map_b[net]] for net in key_inputs]
+            assert _admitted_keys(engine.solver, key_b) == expected
 
     def test_pin_batch_equals_one_by_one_pinning(self):
         locked, view, key_inputs = _attack_view()
@@ -220,29 +285,36 @@ class TestPinningEquivalence:
         assert streams["batched"] == streams["one-by-one"]
         assert feasible["batched"] == feasible["one-by-one"]
 
-    def test_hoisted_encode_does_not_regress(self, monkeypatch):
-        """The regression this guards is a reintroduced per-pin
-        re-simplify: the hoisted path builds one InputSpecializer per
-        engine, where the legacy path builds one per pin (through
-        ``simplified``).  Counted, not timed, so host load cannot flake
-        it."""
+    def test_pins_encode_only_dip_specific_logic(self, monkeypatch):
+        """A pin's key-only logic hashes onto nets the miter already
+        encoded, and pinning the same DIP again adds no variable.
+        Counted, not timed, so host load cannot flake it."""
         locked, view, key_inputs = _attack_view(kappa_s=3)
-        built = []
-        real_init = InputSpecializer.__init__
+        key_set = set(key_inputs)
+        support = {net: {net} for net in view.inputs}
+        for net in view.topo_order():
+            support[net] = set().union(
+                *(support[src] for src in view.gate(net).inputs))
+        key_only = [net for net in view.topo_order()
+                    if support[net] and support[net] <= key_set]
+        assert key_only
 
-        def counting_init(self, netlist):
-            built.append(netlist)
-            real_init(self, netlist)
+        folds = []
+        real_fold = InputSpecializer.fold
 
-        monkeypatch.setattr(InputSpecializer, "__init__", counting_init)
-        for mode, per_batch in (("legacy", [12, 12]), ("hoisted", [1, 0])):
-            if mode == "legacy":
-                monkeypatch.setenv("REPRO_LEGACY_PIN", "1")
-            else:
-                monkeypatch.delenv("REPRO_LEGACY_PIN", raising=False)
-            with DipEngine(view, key_inputs) as engine:
-                pins = _random_pins(engine, locked, n_pins=24)
-                for expected, batch in zip(per_batch, (pins[:12], pins[12:])):
-                    built.clear()
-                    engine.pin_batch(batch)
-                    assert len(built) == expected, mode
+        def recording_fold(self, builder, mapping):
+            real_fold(self, builder, mapping)
+            folds.append(mapping)
+
+        monkeypatch.setattr(InputSpecializer, "fold", recording_fold)
+        with DipEngine(view, key_inputs) as engine:
+            for dip, response in _random_pins(engine, locked, n_pins=6):
+                encoded = set(engine.var_of)
+                folds.clear()
+                engine.pin_response(dip, response)
+                assert len(folds) == 2  # one replay per key copy
+                for mapping in folds:
+                    assert all(mapping[net] in encoded for net in key_only)
+                n_vars = engine.solver.num_vars
+                engine.pin_response(dip, response)
+                assert engine.solver.num_vars == n_vars
