@@ -71,26 +71,30 @@ serve-demo:
 bench:
 	$(PY) -m pytest benchmarks -q
 
-# Attack hot-path microbench: arena vs legacy CDCL conflicts/sec,
+# Attack hot-path microbench: arena CDCL conflicts/sec on PHP(8,7),
 # vectorized fig3/fig7 sweeps vs per-vector loops, end-to-end comb_sat
-# wall-clock. Writes benchmarks/artifacts/BENCH_solver.json.
+# phases. Writes benchmarks/artifacts/BENCH_solver.json.
 bench-solver:
 	$(PY) -m pytest benchmarks/bench_solver.py -q
 
-# End-to-end attack-loop bench: batched word-parallel oracle + cheap
-# pinning vs the serial/legacy loop (>= 1.5x gate on the
-# oracle-dominated cell). Writes benchmarks/artifacts/BENCH_attack.json.
+# End-to-end attack-loop bench: phase rows of an oracle-dominated
+# seq-sat cell (exact oracle call/pattern counts) and a pin-heavy DIP
+# loop. Writes benchmarks/artifacts/BENCH_attack.json.
 bench-attack:
 	$(PY) -m pytest benchmarks/bench_attack.py -q
 
-# One short run of the benchmark's bmc-verify workload, for its output
-# checks: n_dips = 2^(kappa_s*|I|), key_ok and the warm replay matching
-# the cold value. Fails unless the last line reports "correct": true.
+# One short run of the benchmark's dip-loop and bmc-verify workloads,
+# for their output checks: n_dips = 2^(kappa_s*|I|), key_ok and the warm
+# replay matching the cold value. Fails unless both last lines report
+# "correct": true.
 perfbench-smoke:
-	@out=$$($(PY) perfbench/run.py --workload bmc-verify --seed 0 \
-	    --seconds 10 --trace 0) || exit 1; \
-	printf '%s\n' "$$out"; \
-	printf '%s\n' "$$out" | tail -n 1 | grep -q '"correct": true'
+	@for workload in dip-loop bmc-verify; do \
+	    out=$$($(PY) perfbench/run.py --workload $$workload --seed 0 \
+	        --seconds 10 --trace 0) || exit 1; \
+	    printf '%s\n' "$$out"; \
+	    printf '%s\n' "$$out" | tail -n 1 | grep -q '"correct": true' \
+	        || { echo "perfbench-smoke: $$workload not correct" >&2; exit 1; }; \
+	done
 
 # Table I at --effort standard, recomputed: the b12 kappa_s=1 and
 # kappa_s=2 rows are attacked for real and must pin exactly 32 and 1024

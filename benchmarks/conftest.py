@@ -54,6 +54,22 @@ def bench_json_sink():
     return write
 
 
+@pytest.fixture
+def bench_json_merge(bench_json_sink):
+    """Add sections to ``BENCH_<name>.json``, keeping the sections that
+    other tests (or earlier runs) already wrote there."""
+    def merge(name, fragment):
+        path = os.path.join(artifact_dir(), f"BENCH_{name}.json")
+        payload = {}
+        if os.path.exists(path):
+            with open(path, "r", encoding="utf-8") as handle:
+                payload = json.load(handle)
+        payload.update(fragment)
+        return bench_json_sink(name, payload)
+
+    return merge
+
+
 def run_once(benchmark, fn, *args, **kwargs):
     """Benchmark a seconds-scale workload exactly once per measurement."""
     return benchmark.pedantic(fn, args=args, kwargs=kwargs,

@@ -33,7 +33,7 @@ import itertools
 import time
 
 from repro.attacks import SimulationOracle, comb_sat_attack
-from repro.attacks.seq_sat import _unflatten, _with_folded_constants
+from repro.attacks.seq_sat import _with_folded_constants
 from repro.attacks import unrolled_attack_view
 from repro.bench.synth import generate_circuit
 from repro.core import TriLockConfig, lock
@@ -76,18 +76,11 @@ def make_attack_workload(gates=64, seed=9):
     kappa, depth = locked.config.kappa, locked.config.kappa_s
     view, key_inputs, _ = unrolled_attack_view(locked.netlist, kappa, depth)
     view = _with_folded_constants(view)
-    width = len(locked.netlist.inputs)
     original = locked.original
 
     def run(config):
-        oracle = SimulationOracle(original)
-
-        def oracle_fn(flat_data):
-            vectors = _unflatten(flat_data, width, depth)
-            trace = oracle.query(vectors)
-            return tuple(bit for cycle in trace for bit in cycle)
-
-        result = comb_sat_attack(view, key_inputs, oracle_fn,
+        oracle = SimulationOracle(original).flat_window(depth)
+        result = comb_sat_attack(view, key_inputs, oracle,
                                  solver=config.build())
         assert result.success
         return result.solve_seconds, result.n_dips

@@ -162,8 +162,8 @@ def _key_metrics(result, locked):
         "depth": result.depth,
         "key_ok": key_ok,
         "stop_reason": result.stop_reason,
-        # Patterns simulated (comparable across serial/batched loops)
-        # vs oracle invocations (a batched round is one call).
+        # Sequences simulated (one per DIP and per black-box check
+        # round) vs oracle calls (one per miter round or key check).
         "oracle_queries": result.oracle_queries,
         "oracle_calls": result.oracle_calls,
     }
@@ -315,7 +315,7 @@ def _attack_removal(locked, oracle, budget, depth, anchor_tries,
             details={"reason": "strip disabled (census only)",
                      "verified": False})
     attempt = attempt_removal(
-        locked, depth=depth,
+        locked, oracle, depth=depth,
         max_dips=budget.max_dips if budget.max_dips is not None else 256,
         time_budget=budget.time_budget, anchor_tries=anchor_tries)
     return AttackOutcome(
@@ -363,7 +363,8 @@ def _attack_stg(locked, oracle, budget, max_states):
 def _attack_key_space(locked, oracle, budget, depth):
     """Success = the DIP loop narrowed the key space to a single
     surviving key (exhaustively countable instances only)."""
-    trace = key_space_trace(locked, depth=depth, max_dips=budget.max_dips)
+    trace = key_space_trace(locked, oracle, depth=depth,
+                            max_dips=budget.max_dips)
     final = trace.survivors[-1] if trace.survivors else trace.initial_keys
     return AttackOutcome(
         attack="key-space", success=final == 1, seconds=0.0,

@@ -18,7 +18,8 @@ The attack engine is built from two orthogonal pieces:
 * :func:`comb_sat_attack` drives the DIP loop, optionally *batched*:
   ``dip_batch=k`` extracts up to ``k`` distinct DIPs per miter round by
   re-solving under blocking clauses gated on the miter activation
-  literal, then pins all ``k`` oracle responses before the next round.
+  literal, asks the oracle for all of the round's responses in one
+  call, then pins them before the next round.
   Blocking a queried pattern is sound because once its I/O pair is
   pinned on both key copies no surviving key pair can disagree on it;
   gating the clause on ``act`` keeps key extraction and the
@@ -293,34 +294,26 @@ class DipEngine:
         return False
 
 
-def comb_sat_attack(locked, key_inputs, oracle_fn, max_dips=None,
+def comb_sat_attack(locked, key_inputs, oracle, max_dips=None,
                     collect_dips=False, time_budget=None, dip_batch=1,
-                    portfolio=None, attack_jobs=1, solver=None,
-                    oracle_batch_fn=None):
+                    portfolio=None, attack_jobs=1, solver=None):
     """Run the DIP loop; returns a :class:`CombSatResult`.
 
     ``locked``
         Combinational netlist; its inputs are ``key_inputs`` plus data
         inputs (order irrelevant).
-    ``oracle_fn``
-        Callable mapping a tuple of data-input bits (ordered like the data
-        inputs appear in ``locked.inputs``) to the tuple of correct output
-        bits (ordered like ``locked.outputs``).
-    ``oracle_batch_fn``
-        Optional callable mapping a *list* of data-input tuples to the
-        list of corresponding output tuples.  When given, a miter round
-        that extracted ``k > 1`` DIPs issues ONE batched oracle call
-        instead of ``k`` serial ``oracle_fn`` calls — the responses (and
-        therefore the pinned constraint store, the DIP walk, and the
-        recovered key) are required to be bit-identical to the serial
-        loop; only the oracle's call count changes.  Single-DIP rounds
-        still go through ``oracle_fn`` so ``dip_batch=1`` stays
-        byte-identical to the historical loop, accounting included.
+    ``oracle``
+        Callable mapping a list of DIPs (tuples of data-input bits,
+        ordered like the data inputs appear in ``locked.inputs``) to the
+        list of correct output tuples (ordered like ``locked.outputs``).
+        It is called once per miter round with that round's DIPs; a
+        single DIP is a batch of one.
     ``max_dips`` / ``time_budget``
         Optional effort caps; exceeding one returns ``success=False`` with
         ``stop_reason`` set accordingly.  ``max_dips`` DIPs may be pinned;
         the attack fails with ``"max_dips"`` only if a DIP remains after
-        them.
+        them.  The time budget is checked before each round, so a round
+        that overruns it still pins all of its DIPs.
     ``dip_batch``
         DIPs extracted (and oracle responses pinned) per miter round;
         1 reproduces the classic one-DIP-per-iteration loop exactly.
@@ -359,42 +352,19 @@ def comb_sat_attack(locked, key_inputs, oracle_fn, max_dips=None,
                 stop_reason = "max_dips"
                 break
             n_rounds += 1
-            responses = None
-            if oracle_batch_fn is not None and len(batch) > 1:
-                phase_start = time.perf_counter()
-                responses = [tuple(response)
-                             for response in oracle_batch_fn(list(batch))]
-                oracle_seconds += time.perf_counter() - phase_start
-                if len(responses) != len(batch):
-                    raise AttackError(
-                        "batched oracle returned "
-                        f"{len(responses)} responses for {len(batch)} DIPs")
-            pins = []
-            for position, dip in enumerate(batch):
-                # Mid-batch budget check: the first pin of a round always
-                # lands (dip_batch=1 behaviour is untouched); later pins
-                # stop once the budget is spent — the attack is failing
-                # with stop_reason="time_budget" anyway, so the skipped
-                # patterns' gated blocking clauses are harmless.
-                if position and deadline is not None \
-                        and time.perf_counter() > deadline:
-                    stop_reason = "time_budget"
-                    break
-                n_dips += 1
-                if collect_dips:
-                    dips.append(dip)
-                if responses is not None:
-                    response = responses[position]
-                else:
-                    phase_start = time.perf_counter()
-                    response = tuple(oracle_fn(dip))
-                    oracle_seconds += time.perf_counter() - phase_start
-                pins.append((dip, response))
             phase_start = time.perf_counter()
-            engine.pin_batch(pins)
+            responses = list(oracle(batch))
+            oracle_seconds += time.perf_counter() - phase_start
+            if len(responses) != len(batch):
+                raise AttackError(
+                    f"oracle returned {len(responses)} responses for "
+                    f"{len(batch)} DIPs")
+            n_dips += len(batch)
+            if collect_dips:
+                dips.extend(batch)
+            phase_start = time.perf_counter()
+            engine.pin_batch(zip(batch, responses))
             encode_seconds += time.perf_counter() - phase_start
-            if stop_reason == "time_budget":
-                break
 
         if stop_reason != "no_more_dips":
             return CombSatResult(

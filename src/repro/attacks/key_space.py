@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.attacks.comb_sat import DipEngine, comb_sat_attack
-from repro.attacks.oracle import SimulationOracle
 from repro.attacks.seq_sat import unrolled_attack_view
 from repro.errors import AttackError
 from repro.netlist.transform import simplified
@@ -44,15 +43,18 @@ class KeySpaceTrace:
         self.eliminated_per_dip = eliminated
 
 
-def key_space_trace(locked, depth=None, max_dips=None):
+def key_space_trace(locked, oracle, depth=None, max_dips=None):
     """Run the DIP loop on ``locked`` and count surviving keys per DIP.
 
-    Only feasible for small key spaces (``κ·|I| <= 12``); an analysis
-    utility for tests and trade-off studies, not part of the attack.
+    ``oracle`` is the activated chip (a
+    :class:`~repro.attacks.oracle.SimulationOracle`); it answers the DIP
+    loop, then once more for the recorded DIPs that are re-pinned for
+    counting. Only feasible for small key spaces (``κ·|I| <= 12``); an
+    analysis utility for tests and trade-off studies, not part of the
+    attack.
     """
     kappa = locked.config.kappa
-    width = len(locked.original.inputs)
-    key_bits = kappa * width
+    key_bits = kappa * len(locked.original.inputs)
     if key_bits > _MAX_KEY_BITS:
         raise AttackError(
             f"key space 2^{key_bits} too large to enumerate "
@@ -62,29 +64,13 @@ def key_space_trace(locked, depth=None, max_dips=None):
 
     view, key_inputs, _ = unrolled_attack_view(locked.netlist, kappa, depth)
     view = simplified(view, name="keyspace_view")
-    oracle = SimulationOracle(locked.original)
-
-    def oracle_fn(flat_data):
-        vectors = [tuple(flat_data[c * width:(c + 1) * width])
-                   for c in range(depth)]
-        trace = oracle.query(vectors)
-        return tuple(bit for cycle in trace for bit in cycle)
-
-    def unflatten(flat):
-        return [tuple(flat[c * width:(c + 1) * width])
-                for c in range(depth)]
-
-    def oracle_batch_fn(flat_batch):
-        return oracle.query_batch_flat(
-            [unflatten(flat) for flat in flat_batch])
+    ask = oracle.flat_window(depth)
 
     # Collect the attack's DIPs once, then pin them into one fresh engine
     # and count the survivors after each.
-    result = comb_sat_attack(view, key_inputs, oracle_fn,
-                             max_dips=max_dips, collect_dips=True,
-                             oracle_batch_fn=oracle_batch_fn)
-    responses = ([] if not result.dips else oracle.query_batch_flat(
-        [unflatten(dip) for dip in result.dips]))
+    result = comb_sat_attack(view, key_inputs, ask, max_dips=max_dips,
+                             collect_dips=True)
+    responses = ask(result.dips)
     survivors = []
     with DipEngine(view, key_inputs) as engine:
         for dip, response in zip(result.dips, responses):

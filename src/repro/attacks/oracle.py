@@ -5,12 +5,17 @@ activated chip: apply any input sequence from reset, observe the output
 sequence. :class:`SimulationOracle` provides exactly that interface on top
 of the original netlist and counts queries for reporting.
 
+The DIP loop asks through the callable :meth:`SimulationOracle.flat_window`
+builds: one word-parallel :meth:`~SimulationOracle.query_batch` call per
+miter round, however many DIPs the round extracted (a single DIP is a
+batch of one). :meth:`~SimulationOracle.query` answers one sequence at a
+time and is the serial reference the batch path is tested against.
+
 Accounting distinguishes *calls* from *patterns*: ``query_count`` is the
 number of oracle invocations (tester sessions), ``pattern_count`` the
-number of input sequences simulated.  A serial DIP loop issues one call
-per pattern so the two agree; a batched loop (:meth:`query_batch`) runs a
-whole miter round in one word-parallel call, so ``pattern_count`` is the
-number that stays comparable to the serial loop.
+number of input sequences simulated.  A batch counts as one call and as
+many patterns as it holds sequences, so ``pattern_count`` is the number
+that does not depend on how the sequences were batched.
 """
 
 from __future__ import annotations
@@ -95,3 +100,25 @@ class SimulationOracle:
         """Like :meth:`query_batch` but each trace flattened cycle-major."""
         return [tuple(bit for cycle in trace for bit in cycle)
                 for trace in self.query_batch(sequences)]
+
+    def flat_window(self, cycles):
+        """The DIP loop's oracle for a window of ``cycles`` cycles.
+
+        Returns a callable mapping a list of flattened stimuli (each the
+        window's input vectors concatenated cycle-major) to their
+        flattened traces, in one :meth:`query_batch_flat` call.
+        """
+        width = self.input_width
+
+        def ask(flat_stimuli):
+            return self.query_batch_flat(
+                [_unflatten(flat, width, cycles) for flat in flat_stimuli])
+
+        return ask
+
+
+def _unflatten(flat_bits, width, cycles):
+    """Split a cycle-major flattened stimulus into per-cycle vectors."""
+    if len(flat_bits) != width * cycles:
+        raise AttackError("flattened stimulus has the wrong width")
+    return [tuple(flat_bits[c * width:(c + 1) * width]) for c in range(cycles)]

@@ -24,7 +24,6 @@ import networkx as nx
 
 from repro.attacks.bmc import bounded_equivalence
 from repro.attacks.comb_sat import comb_sat_attack
-from repro.attacks.oracle import SimulationOracle
 from repro.core.rcg import build_rcg, cyclic_sccs
 from repro.netlist.transform import simplified, specialise_on_inputs
 from repro.unroll import unroll
@@ -130,15 +129,17 @@ class RemovalAttempt:
     reason: str = ""
 
 
-def attempt_removal(locked, depth=None, max_dips=256, time_budget=None,
-                    verify_depth=None, anchor_tries=3):
+def attempt_removal(locked, oracle, depth=None, max_dips=256,
+                    time_budget=None, verify_depth=None, anchor_tries=3):
     """Strip separable registers, then solve tie constants via DIPs.
 
     The stripped registers' Q nets become free symbolic constants; a
     COMB-SAT run over the unrolled keyless circuit searches for values
-    that reproduce the oracle from reset (no key cycles at all). Success
-    means the locking scheme has been removed. Up to ``anchor_tries``
-    candidate anchor SCCs are attempted (a real attacker iterates).
+    that reproduce ``oracle`` (a
+    :class:`~repro.attacks.oracle.SimulationOracle`, the activated chip)
+    from reset (no key cycles at all). Success means the locking scheme
+    has been removed. Up to ``anchor_tries`` candidate anchor SCCs are
+    attempted (a real attacker iterates).
     """
     last = RemovalAttempt(
         success=False, stripped_registers=(), tie_values=None,
@@ -149,15 +150,16 @@ def attempt_removal(locked, depth=None, max_dips=256, time_budget=None,
         if not suspects:
             continue
         attempt = _attempt_removal_with(
-            locked, suspects, depth, max_dips, time_budget, verify_depth)
+            locked, oracle, suspects, depth, max_dips, time_budget,
+            verify_depth)
         if attempt.success:
             return attempt
         last = attempt
     return last
 
 
-def _attempt_removal_with(locked, suspects, depth, max_dips, time_budget,
-                          verify_depth):
+def _attempt_removal_with(locked, oracle, suspects, depth, max_dips,
+                          time_budget, verify_depth):
     netlist = locked.netlist
     stripped = netlist.copy(name=netlist.name + "_stripped")
     for q in suspects:
@@ -180,24 +182,10 @@ def _attempt_removal_with(locked, suspects, depth, max_dips, time_budget,
     merged_view = _merge_inputs(view, mapping)
     merged_view = simplified(merged_view, name="removal_view_folded")
 
-    oracle = SimulationOracle(locked.original)
-    width = len(locked.original.inputs)
-
-    def oracle_fn(flat_data):
-        vectors = [tuple(flat_data[c * width:(c + 1) * width])
-                   for c in range(depth)]
-        trace = oracle.query(vectors)
-        return tuple(bit for cycle in trace for bit in cycle)
-
-    def oracle_batch_fn(flat_batch):
-        sequences = [[tuple(flat[c * width:(c + 1) * width])
-                      for c in range(depth)] for flat in flat_batch]
-        return oracle.query_batch_flat(sequences)
-
     tie_inputs = sorted({mapping[f"{q}@0"] for q in tie_nets})
-    result = comb_sat_attack(merged_view, tie_inputs, oracle_fn,
-                             max_dips=max_dips, time_budget=time_budget,
-                             oracle_batch_fn=oracle_batch_fn)
+    result = comb_sat_attack(merged_view, tie_inputs,
+                             oracle.flat_window(depth), max_dips=max_dips,
+                             time_budget=time_budget)
     if not result.success:
         return RemovalAttempt(
             success=False, stripped_registers=tuple(suspects),

@@ -34,9 +34,10 @@ class SeqAttackResult:
     """Outcome of a sequential SAT attack.
 
     ``oracle_queries`` counts input *sequences* the oracle simulated
-    (:attr:`SimulationOracle.pattern_count`) — the number comparable
-    across serial and batched oracle loops; ``oracle_calls`` counts
-    oracle invocations (a batched round is one call).  The phase timers
+    (:attr:`SimulationOracle.pattern_count`: one per DIP, plus
+    ``check_rounds`` per black-box key check); ``oracle_calls`` counts
+    oracle invocations (one per miter round, plus one per black-box key
+    check, however many sequences each carries).  The phase timers
     aggregate the per-depth COMB-SAT phase breakdown (miter solving,
     oracle simulation, constraint pinning) plus candidate-key
     verification: ``verify_seconds`` holds the BMC checks against the
@@ -124,8 +125,7 @@ def estimate_min_unroll_depth(locked_netlist, kappa, max_depth=16,
 def sequential_sat_attack(locked_netlist, kappa, oracle, known_depth=None,
                           max_depth=12, max_dips=None, time_budget=None,
                           reference=None, check_rounds=24, seed=0,
-                          dip_batch=1, portfolio=None, attack_jobs=1,
-                          oracle_batch=True):
+                          dip_batch=1, portfolio=None, attack_jobs=1):
     """Oracle-guided sequential SAT attack; returns :class:`SeqAttackResult`.
 
     ``oracle``
@@ -136,7 +136,8 @@ def sequential_sat_attack(locked_netlist, kappa, oracle, known_depth=None,
     ``reference``
         When the harness provides the original netlist, candidate keys are
         verified by BMC; otherwise by ``check_rounds`` random oracle
-        sequences (pure black-box mode).
+        sequences, asked in one batched oracle call (pure black-box
+        mode).
     ``dip_batch`` / ``portfolio`` / ``attack_jobs``
         Attack-engine knobs forwarded to the COMB-SAT core of each
         unrolling depth: DIPs extracted per miter round, solver-portfolio
@@ -146,18 +147,9 @@ def sequential_sat_attack(locked_netlist, kappa, oracle, known_depth=None,
         between depths (the workers' clause stores are rebuilt in place)
         instead of respawning per depth — cheap under ``fork``, a real
         saving on ``spawn`` platforms.
-    ``oracle_batch``
-        When true (the default) each multi-DIP miter round issues ONE
-        word-parallel :meth:`SimulationOracle.query_batch` call and the
-        black-box verification rounds are batched the same way.  Results
-        are bit-identical to the serial per-pattern loop (which
-        ``oracle_batch=False`` preserves for differential testing); only
-        the oracle's *call* count changes — ``oracle_queries`` reports
-        simulated patterns either way.
     """
     start = time.perf_counter()
     rng = make_rng(("seqsat", seed))
-    width = len(locked_netlist.inputs)
     depth = known_depth if known_depth is not None else 1
     depths_tried = []
     dips_per_depth = {}
@@ -194,18 +186,6 @@ def sequential_sat_attack(locked_netlist, kappa, oracle, known_depth=None,
                 locked_netlist, kappa, depth)
             view = _with_folded_constants(view)
 
-            def oracle_fn(flat_data, _depth=depth):
-                vectors = _unflatten(flat_data, width, _depth)
-                trace = oracle.query(vectors)
-                return tuple(bit for cycle in trace for bit in cycle)
-
-            oracle_batch_fn = None
-            if oracle_batch:
-                def oracle_batch_fn(flat_batch, _depth=depth):
-                    sequences = [_unflatten(flat, width, _depth)
-                                 for flat in flat_batch]
-                    return oracle.query_batch_flat(sequences)
-
             budget_left = None
             if time_budget is not None:
                 budget_left = time_budget - (time.perf_counter() - start)
@@ -221,11 +201,10 @@ def sequential_sat_attack(locked_netlist, kappa, oracle, known_depth=None,
                 engine = {"portfolio": portfolio,
                           "attack_jobs": attack_jobs}
             result = comb_sat_attack(
-                view, key_inputs, oracle_fn,
+                view, key_inputs, oracle.flat_window(depth),
                 max_dips=None if max_dips is None
                 else max_dips - total_dips,
-                time_budget=budget_left, dip_batch=dip_batch,
-                oracle_batch_fn=oracle_batch_fn, **engine)
+                time_budget=budget_left, dip_batch=dip_batch, **engine)
             total_dips += result.n_dips
             dips_per_depth[depth] = result.n_dips
             for phase in ("solve_seconds", "oracle_seconds",
@@ -240,7 +219,7 @@ def sequential_sat_attack(locked_netlist, kappa, oracle, known_depth=None,
             phase_start = time.perf_counter()
             ok, counterexample_depth = _verify_candidate(
                 locked_netlist, kappa, candidate, oracle, reference,
-                rng, check_rounds, depth, batched=oracle_batch)
+                rng, check_rounds, depth)
             timers["verify_seconds" if reference is not None
                    else "oracle_seconds"] += time.perf_counter() - phase_start
             if ok:
@@ -275,12 +254,6 @@ def _with_folded_constants(view):
     return simplified(view, name=view.name + "_folded")
 
 
-def _unflatten(flat_bits, width, cycles):
-    if len(flat_bits) != width * cycles:
-        raise AttackError("flattened stimulus has the wrong width")
-    return [tuple(flat_bits[c * width:(c + 1) * width]) for c in range(cycles)]
-
-
 def _key_from_model(key_assignment, input_names, kappa):
     """Rebuild the key sequence from unrolled key-input assignments."""
     vectors = []
@@ -293,7 +266,7 @@ def _key_from_model(key_assignment, input_names, kappa):
 
 
 def _verify_candidate(locked_netlist, kappa, candidate, oracle, reference,
-                      rng, check_rounds, depth, batched=True):
+                      rng, check_rounds, depth):
     """Check a candidate key; returns (ok, counterexample_depth)."""
     if reference is not None:
         result = bounded_equivalence(
@@ -314,27 +287,11 @@ def _verify_candidate(locked_netlist, kappa, candidate, oracle, reference,
                 return False, cycle + 1
         return False, depth + 1  # pragma: no cover - witness must diverge
 
-    # Black-box mode: random oracle sequences.
+    # Black-box mode: ``check_rounds`` random oracle sequences, all
+    # word-parallel in one locked simulation and one oracle call.
     width = candidate.width
     locked_sim = SequentialSimulator(locked_netlist)
     total_cycles = depth + kappa + 4
-    if not batched:
-        for _ in range(check_rounds):
-            data = random_vectors(rng, width, total_cycles)
-            locked_trace = locked_sim.run_vectors(
-                list(candidate.vectors) + data)
-            oracle_trace = oracle.query(data)
-            if locked_trace[kappa:] != oracle_trace:
-                for cycle, (got, want) in enumerate(
-                        zip(locked_trace[kappa:], oracle_trace)):
-                    if got != want:
-                        return False, cycle + 1
-        return True, depth
-
-    # Batched: all rounds word-parallel in one locked simulation and one
-    # oracle call.  Same random stimulus, same first-mismatch scan; the
-    # only behavioural difference from the serial loop is that a
-    # *failing* verification still drew and simulated every round.
     prefix = list(candidate.vectors)
     datas = [random_vectors(rng, width, total_cycles)
              for _ in range(check_rounds)]

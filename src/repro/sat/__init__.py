@@ -15,7 +15,6 @@ from repro.sat.backend import (
     register_backend,
 )
 from repro.sat.dpll import brute_force_models, dpll_solve
-from repro.sat.legacy import LegacySolver
 from repro.sat.models import count_models, enumerate_models
 from repro.sat.native import (
     DimacsSubprocessBackend,
@@ -34,7 +33,6 @@ __all__ = [
     "DEFAULT_BACKEND",
     "DimacsSubprocessBackend",
     "DpllBackend",
-    "LegacySolver",
     "NativeUnavailableBackend",
     "PortfolioSolver",
     "PySatBackend",

@@ -79,3 +79,12 @@ def locked_mid_reencoded():
 def locked_factory(**kwargs):
     """Direct access for parametrised tests."""
     return _locked_tiny(**kwargs)
+
+
+def batch_oracle(per_dip):
+    """Lift a per-DIP test oracle (``dip -> response``) to the batch
+    callable ``comb_sat_attack`` asks once per miter round."""
+    def ask(dips):
+        return [per_dip(dip) for dip in dips]
+
+    return ask

@@ -35,7 +35,7 @@ from repro.experiments import table1_sat_resilience
 from repro.netlist import GateOp, Netlist
 from repro.sat import PortfolioSolver
 
-from tests.conftest import locked_factory
+from tests.conftest import batch_oracle, locked_factory
 from tests.util import reference_outputs
 
 #: (portfolio spec, attack_jobs) grid: 1, 2, and 3 racing configurations.
@@ -71,7 +71,7 @@ def and_pair_oracle(netlist, xs, ks, secret):
         assignment.update(dict(zip(ks, secret)))
         return reference_outputs(netlist, assignment)
 
-    return oracle
+    return batch_oracle(oracle)
 
 
 def assert_comb_keys_equivalent(netlist, key_inputs, key_a, key_b):
@@ -219,12 +219,13 @@ class TestBatchedPinningEquivalence:
         try:
             batch = batched.find_dip_batch(3)
             assert 1 <= len(batch) <= 3
-            for dip in batch:
-                batched.pin_response(dip, oracle(dip))
+            pairs = list(zip(batch, oracle(batch)))
+            for dip, response in pairs:
+                batched.pin_response(dip, response)
             serial = DipEngine(netlist, ks)
             try:
-                for dip in batch:  # same DIPs, no blocking clauses
-                    serial.pin_response(dip, oracle(dip))
+                for dip, response in pairs:  # no blocking clauses
+                    serial.pin_response(dip, response)
                 assert batched.feasible_keys() == serial.feasible_keys()
             finally:
                 serial.close()
@@ -247,7 +248,8 @@ class TestBatchedPinningEquivalence:
             return reference_outputs(
                 netlist, {"x0": data[0], "k0": True, "k1": False})
 
-        result = comb_sat_attack(netlist, ["k0", "k1"], oracle, dip_batch=8)
+        result = comb_sat_attack(netlist, ["k0", "k1"], batch_oracle(oracle),
+                                 dip_batch=8)
         assert result.success
         assert result.n_dips == 2 and result.n_rounds == 1
         # Recovered key must be in the secret's equivalence class.
@@ -273,8 +275,9 @@ class TestBatchedPinningEquivalence:
             assignment.update(dict(zip(ks, secret)))
             return reference_outputs(netlist, assignment)
 
-        serial = comb_sat_attack(netlist, ks, oracle, dip_batch=1)
-        batched = comb_sat_attack(netlist, ks, oracle, dip_batch=4)
+        ask = batch_oracle(oracle)
+        serial = comb_sat_attack(netlist, ks, ask, dip_batch=1)
+        batched = comb_sat_attack(netlist, ks, ask, dip_batch=4)
         assert serial.success and batched.success
         assert serial.n_rounds == serial.n_dips > 1
         assert batched.n_rounds < serial.n_rounds

@@ -19,7 +19,7 @@ from repro.core import TriLockConfig, lock, naive_config, ndip_naive, ndip_trilo
 from repro.netlist import GateOp, Netlist
 from repro.errors import AttackError
 
-from tests.conftest import _tiny_circuit, locked_factory
+from tests.conftest import _tiny_circuit, batch_oracle, locked_factory
 from tests.util import reference_outputs
 
 
@@ -45,7 +45,7 @@ class TestCombSat:
             assignment.update(dict(zip(ks, secret)))
             return reference_outputs(netlist, assignment)
 
-        result = comb_sat_attack(netlist, ks, oracle)
+        result = comb_sat_attack(netlist, ks, batch_oracle(oracle))
         assert result.success
         # XOR locking: key is uniquely determined.
         assert tuple(result.key[k] for k in ks) == secret
@@ -59,7 +59,8 @@ class TestCombSat:
             assignment.update(dict.fromkeys(ks, False))
             return reference_outputs(netlist, assignment)
 
-        result = comb_sat_attack(netlist, ks, oracle, max_dips=0)
+        result = comb_sat_attack(netlist, ks, batch_oracle(oracle),
+                                 max_dips=0)
         assert not result.success
         assert result.stop_reason == "max_dips"
 
@@ -74,23 +75,24 @@ class TestCombSat:
             assignment.update(dict(zip(ks, secret)))
             return reference_outputs(netlist, assignment)
 
-        needed = comb_sat_attack(netlist, ks, oracle).n_dips
-        exact = comb_sat_attack(netlist, ks, oracle, max_dips=needed)
+        ask = batch_oracle(oracle)
+        needed = comb_sat_attack(netlist, ks, ask).n_dips
+        exact = comb_sat_attack(netlist, ks, ask, max_dips=needed)
         assert exact.success and exact.n_dips == needed
         assert tuple(exact.key[k] for k in ks) == secret
-        short = comb_sat_attack(netlist, ks, oracle, max_dips=needed - 1)
+        short = comb_sat_attack(netlist, ks, ask, max_dips=needed - 1)
         assert not short.success and short.stop_reason == "max_dips"
         assert short.n_dips == needed - 1
 
     def test_unknown_key_net_rejected(self):
         netlist, _, _ = xor_locked_comb()
         with pytest.raises(AttackError):
-            comb_sat_attack(netlist, ["ghost"], lambda d: ())
+            comb_sat_attack(netlist, ["ghost"], lambda dips: [])
 
     def test_sequential_circuit_rejected(self, locked_tiny):
         netlist = locked_tiny.netlist
         with pytest.raises(AttackError, match="combinational"):
-            comb_sat_attack(netlist, netlist.inputs[:1], lambda d: ())
+            comb_sat_attack(netlist, netlist.inputs[:1], lambda dips: [])
 
     def test_collect_dips(self):
         netlist, xs, ks = xor_locked_comb(2)
@@ -100,7 +102,8 @@ class TestCombSat:
             assignment.update(dict.fromkeys(ks, True))
             return reference_outputs(netlist, assignment)
 
-        result = comb_sat_attack(netlist, ks, oracle, collect_dips=True)
+        result = comb_sat_attack(netlist, ks, batch_oracle(oracle),
+                                 collect_dips=True)
         assert result.success
         assert len(result.dips) == result.n_dips
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.attacks import (
+    SimulationOracle,
     attack_locked_circuit,
     attempt_removal,
     scc_report,
@@ -73,7 +74,7 @@ class TestHarpoonLike:
 
     def test_falls_to_removal(self):
         locked = lock_harpoon_like(_mid_circuit(), kappa=2, seed=2)
-        attempt = attempt_removal(locked)
+        attempt = attempt_removal(locked, SimulationOracle(locked.original))
         assert attempt.success
 
 
@@ -118,7 +119,8 @@ class TestSinkCluster:
             suspects |= set(separable_registers(locked.netlist,
                                                 anchor_rank=rank))
         ring_regs = {q for q in locked.extra_registers if "ring" in q}
-        assert ring_regs & suspects or attempt_removal(locked).success
+        assert ring_regs & suspects or attempt_removal(
+            locked, SimulationOracle(locked.original)).success
 
     def test_sink_size_validation(self):
         with pytest.raises(LockingError):

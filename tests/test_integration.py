@@ -80,7 +80,7 @@ class TestAttackerPipeline:
         _, locked = pipeline
         report = scc_report(locked)
         assert report.pm_percent > 50
-        attempt = attempt_removal(locked)
+        attempt = attempt_removal(locked, SimulationOracle(locked.original))
         assert not attempt.success
 
     def test_recovered_key_actually_unlocks(self, pipeline):

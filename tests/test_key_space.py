@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.attacks import SimulationOracle
 from repro.attacks.key_space import key_space_trace
 from repro.errors import AttackError
 
@@ -13,7 +14,7 @@ class TestTriLockElimination:
         """Against E^SF each DIP kills one prefix block; the first also
         sweeps the EF columns."""
         locked = locked_factory(kappa_s=1, kappa_f=1, alpha=0.6, seed=3)
-        trace = key_space_trace(locked)
+        trace = key_space_trace(locked, SimulationOracle(locked.original))
         width = locked.width
         kappa = locked.config.kappa
         assert trace.initial_keys == 2 ** (kappa * width)
@@ -28,7 +29,7 @@ class TestTriLockElimination:
 
     def test_later_dips_kill_one_suffix_block_each(self):
         locked = locked_factory(kappa_s=1, kappa_f=1, alpha=0.6, seed=3)
-        trace = key_space_trace(locked)
+        trace = key_space_trace(locked, SimulationOracle(locked.original))
         width = locked.width
         # After the EF sweep, each DIP removes at most one prefix block
         # of size 2^{kappa_f * width}.
@@ -42,7 +43,7 @@ class TestNaiveElimination:
         """Against E^N each DIP eliminates exactly one wrong key — the
         slope that makes Fig. 4(a)'s resilience expensive."""
         locked = locked_factory(kappa_s=2, kappa_f=0, alpha=0.0, seed=7)
-        trace = key_space_trace(locked)
+        trace = key_space_trace(locked, SimulationOracle(locked.original))
         assert trace.n_dips == trace.initial_keys - 1
         assert all(e == 1 for e in trace.eliminated_per_dip)
         assert trace.survivors == list(range(15, 0, -1))
@@ -58,10 +59,11 @@ class TestGuards:
         locked = lock(wide, TriLockConfig(kappa_s=1, kappa_f=1, alpha=0.5,
                                           seed=1))
         with pytest.raises(AttackError):
-            key_space_trace(locked)
+            key_space_trace(locked, SimulationOracle(locked.original))
 
     def test_max_dips_prefix(self):
         locked = locked_factory(kappa_s=1, kappa_f=1, alpha=0.6, seed=3)
-        trace = key_space_trace(locked, max_dips=2)
+        trace = key_space_trace(locked, SimulationOracle(locked.original),
+                                max_dips=2)
         assert trace.n_dips == 2
         assert trace.survivors == [7, 5]

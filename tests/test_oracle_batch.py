@@ -4,23 +4,30 @@ Two invariants anchor this file:
 
 * the batched oracle is an *accounting* change, not a *behaviour*
   change — every trace, the DIP walk, the recovered key, and the
-  feasible key set are bit-identical to the serial loop; only
-  ``query_count`` collapses while ``pattern_count`` stays comparable;
+  feasible key set are bit-identical to a serial reference that asks
+  one :meth:`SimulationOracle.query` per pattern; only ``query_count``
+  collapses while ``pattern_count`` stays comparable;
 * pinning an I/O pair through the engine's one hashed problem netlist
   admits exactly the keys that encoding a full specialised copy per pin
   and key copy does, while encoding only the pin's DIP-specific gates.
 """
 
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.attacks import SimulationOracle, sequential_sat_attack
+import repro.attacks.seq_sat as seq_sat
+from repro.api import ATTACKS
+from repro.attacks import (
+    SimulationOracle,
+    comb_sat_attack,
+    sequential_sat_attack,
+)
 from repro.attacks.comb_sat import DipEngine
 from repro.attacks.seq_sat import (
-    _unflatten,
     _with_folded_constants,
     unrolled_attack_view,
 )
@@ -81,19 +88,27 @@ class TestQueryBatch:
             oracle.query_batch([seq])
 
 
+class SerialOracle(SimulationOracle):
+    """The serial reference: answers a batch with one :meth:`query` per
+    sequence, so every pattern is its own oracle call."""
+
+    def query_batch(self, sequences):
+        return [self.query(seq) for seq in sequences]
+
+
 def _attack_pair(kappa_s, dip_batch, portfolio=None, attack_jobs=1,
                  seed=3):
-    """Run the same attack serially and batched; returns both results."""
+    """Run the same black-box attack against the serial reference and
+    the batched oracle; returns ``(result, oracle)`` for each."""
     locked = locked_factory(kappa_s=kappa_s, seed=seed)
-    out = {}
-    for mode in (False, True):
-        oracle = SimulationOracle(locked.original)
-        out[mode] = (sequential_sat_attack(
+    out = []
+    for oracle_class in (SerialOracle, SimulationOracle):
+        oracle = oracle_class(locked.original)
+        out.append((sequential_sat_attack(
             locked.netlist, locked.config.kappa, oracle,
             known_depth=locked.config.kappa_s, dip_batch=dip_batch,
-            portfolio=portfolio, attack_jobs=attack_jobs,
-            oracle_batch=mode), oracle)
-    return out[False], out[True]
+            portfolio=portfolio, attack_jobs=attack_jobs), oracle))
+    return out
 
 
 class TestBatchedSerialDifferential:
@@ -134,14 +149,106 @@ class TestBatchedSerialDifferential:
             assert fallback.dips_per_depth == with_numpy.dips_per_depth
 
     def test_dip_batch_one_accounting_matches_serial_loop(self):
-        # oracle_batch_fn is bypassed for single-DIP rounds, so the
-        # historical one-call-per-DIP accounting survives verbatim.
+        # A single-DIP round is a batch of one: one call per DIP either
+        # way; only the black-box key check's batch saves calls.
         (serial, serial_oracle), (batched, batched_oracle) = \
             _attack_pair(2, 1)
         assert batched.key == serial.key
         assert batched_oracle.query_count == serial_oracle.query_count \
             or batched_oracle.query_count < serial_oracle.query_count
         assert batched_oracle.pattern_count == serial_oracle.pattern_count
+
+
+class TestOracleAccounting:
+    """One oracle call per miter round, one pattern per DIP."""
+
+    def _rounds_and_result(self, monkeypatch, dip_batch):
+        """A reference-mode attack (BMC key check, so no oracle calls
+        outside the DIP loop) with the per-depth COMB-SAT results."""
+        results = []
+        real = seq_sat.comb_sat_attack
+
+        def recording(*args, **kwargs):
+            results.append(real(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(seq_sat, "comb_sat_attack", recording)
+        locked = locked_factory(kappa_s=2, seed=3)
+        oracle = SimulationOracle(locked.original)
+        result = sequential_sat_attack(
+            locked.netlist, locked.config.kappa, oracle,
+            known_depth=locked.config.kappa_s, dip_batch=dip_batch,
+            reference=locked.original)
+        assert result.success
+        return results, result, oracle
+
+    def test_single_dip_rounds_are_one_call_per_dip(self, monkeypatch):
+        _, result, oracle = self._rounds_and_result(monkeypatch, 1)
+        assert result.n_dips > 1
+        assert oracle.query_count == oracle.pattern_count == result.n_dips
+        assert (result.oracle_calls, result.oracle_queries) == \
+            (result.n_dips, result.n_dips)
+
+    def test_batched_rounds_are_one_call_per_round(self, monkeypatch):
+        rounds, result, oracle = self._rounds_and_result(monkeypatch, 4)
+        n_rounds = sum(depth.n_rounds for depth in rounds)
+        assert 1 < n_rounds < result.n_dips
+        assert oracle.query_count == n_rounds
+        assert oracle.pattern_count == result.n_dips
+
+    @pytest.mark.parametrize("answer", [
+        pytest.param(lambda responses: responses[:-1], id="too-few"),
+        pytest.param(lambda responses: responses * 2, id="too-many"),
+    ])
+    def test_wrong_response_count_is_an_error(self, answer):
+        locked, view, key_inputs = _attack_view()
+        ask = SimulationOracle(locked.original).flat_window(
+            locked.config.kappa_s)
+        with pytest.raises(AttackError, match="responses for"):
+            comb_sat_attack(view, key_inputs,
+                            lambda dips: answer(ask(dips)), dip_batch=2)
+
+    def test_slow_oracle_stops_after_pinning_its_round(self, monkeypatch):
+        """The time budget is checked before each round: a round whose
+        oracle overruns it still pins every DIP it asked about."""
+        locked, view, key_inputs = _attack_view()
+        ask = SimulationOracle(locked.original).flat_window(
+            locked.config.kappa_s)
+
+        def slow(dips):
+            time.sleep(0.6)
+            return ask(dips)
+
+        pinned = []
+        real_pin = DipEngine.pin_batch
+
+        def recording_pin(self, pairs):
+            pairs = list(pairs)
+            pinned.append(len(pairs))
+            real_pin(self, pairs)
+
+        monkeypatch.setattr(DipEngine, "pin_batch", recording_pin)
+        result = comb_sat_attack(view, key_inputs, slow, dip_batch=4,
+                                 time_budget=0.5)
+        assert not result.success
+        assert result.stop_reason == "time_budget"
+        assert (result.n_rounds, result.n_dips) == (1, 4)
+        assert pinned == [4]
+
+
+class TestAttacksAskTheGivenOracle:
+    """Every oracle-guided attack asks the chip ``Attack.run`` hands
+    it, not a private copy of the original circuit."""
+
+    @pytest.mark.parametrize("attack", ["seq-sat", "comb-sat", "removal",
+                                        "key-space"])
+    def test_given_oracle_sees_every_dip(self, attack):
+        locked = locked_factory(kappa_s=1, kappa_f=1, alpha=0.6, seed=3)
+        spy = SimulationOracle(locked.original)
+        outcome = ATTACKS.get(attack).run(locked, oracle=spy)
+        n_dips = outcome.metrics["n_dips"]
+        assert n_dips > 0
+        assert spy.pattern_count >= n_dips
 
 
 # ----------------------------------------------------------------------
@@ -253,9 +360,7 @@ class TestPinningEquivalence:
         for pattern in patterns:
             dip = tuple(bool(pattern >> bit & 1)
                         for bit in range(width * depth))
-            trace = oracle.query(_unflatten(dip, width, depth))
-            pins.append((dip, tuple(bit for cycle in trace
-                                    for bit in cycle)))
+            pins.append((dip, oracle.flat_window(depth)([dip])[0]))
         if pins and flip:
             dip, response = pins[-1]
             pins[-1] = (dip, (not response[0],) + response[1:])

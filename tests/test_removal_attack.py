@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.attacks import attempt_removal, scc_report, separable_registers
+from repro.attacks import (
+    SimulationOracle,
+    attempt_removal,
+    scc_report,
+    separable_registers,
+)
 
 from tests.conftest import _locked_mid
 
@@ -81,7 +86,7 @@ class TestSeparability:
 
 class TestAttemptRemoval:
     def test_unlocks_unprotected_circuit(self, plain):
-        attempt = attempt_removal(plain)
+        attempt = attempt_removal(plain, SimulationOracle(plain.original))
         assert attempt.success
         assert attempt.verified
         # Everything stripped is lock circuitry; the phase controller
@@ -93,10 +98,10 @@ class TestAttemptRemoval:
         assert started and attempt.tie_values[started[0]] is True
 
     def test_fails_on_reencoded_circuit(self, recoded):
-        attempt = attempt_removal(recoded)
+        attempt = attempt_removal(recoded, SimulationOracle(recoded.original))
         assert not attempt.success
 
     def test_dip_cost_is_trivial_when_separable(self, plain):
-        attempt = attempt_removal(plain)
+        attempt = attempt_removal(plain, SimulationOracle(plain.original))
         # Removal reduces the scheme to constant-solving: a few DIPs.
         assert attempt.n_dips <= 8
