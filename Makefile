@@ -83,12 +83,13 @@ bench-solver:
 bench-attack:
 	$(PY) -m pytest benchmarks/bench_attack.py -q
 
-# One short run of the benchmark's dip-loop and bmc-verify workloads,
-# for their output checks: n_dips = 2^(kappa_s*|I|), key_ok and the warm
-# replay matching the cold value. Fails unless both last lines report
-# "correct": true.
+# One short run of each of the benchmark's workloads, for their output
+# checks: n_dips = 2^(kappa_s*|I|) and key_ok (dip-loop, bmc-verify),
+# Table II's census shape and Fig. 7's |FC - Eq. 15| <= 0.05
+# (sat-free-sweep), and the warm replay matching the cold value. Fails
+# unless every last line reports "correct": true.
 perfbench-smoke:
-	@for workload in dip-loop bmc-verify; do \
+	@for workload in dip-loop bmc-verify sat-free-sweep; do \
 	    out=$$($(PY) perfbench/run.py --workload $$workload --seed 0 \
 	        --seconds 10 --trace 0) || exit 1; \
 	    printf '%s\n' "$$out"; \

@@ -8,6 +8,8 @@ Acceptance bars:
   propagations/sec are recorded; the pre-arena core it was once raced
   against is a recorded row in the README's "Making it fast" section);
 * vectorized fig3/fig7 sweeps >= 3x the per-vector loop;
+* a Fig. 7 cell's depth windows in one packed run >= 2x one run per
+  depth;
 * the 48-gate ``comb_sat`` cell recovers a key after exactly
   2^(κs·|I|) = 256 DIPs.
 
@@ -18,6 +20,7 @@ human-readable.
 
 import shlex
 import time
+from statistics import mean
 
 import pytest
 
@@ -31,9 +34,14 @@ from repro.attacks.seq_sat import _with_folded_constants
 from repro.bench.synth import generate_circuit
 from repro.core import TriLockConfig, lock
 from repro.core.error_tables import measured_error_table
-from repro.metrics import simulate_fc
+from repro.metrics import (
+    PAPER_FC_SAMPLES,
+    average_simulated_fc,
+    paper_depth_range,
+    simulate_fc,
+)
 from repro.sat import Solver, in_tree_engine_argv, make_backend
-from repro.sim import SequentialSimulator, have_numpy, make_rng
+from repro.sim import SequentialSimulator, derive_seed, have_numpy, make_rng
 from repro.sim.random_vectors import random_input_words
 
 from conftest import run_once
@@ -216,13 +224,17 @@ def _fc_per_vector(locked, depth, n_samples, seed):
     return errors / n_samples
 
 
+def _fc_bench_locked():
+    circuit = generate_circuit("fc_bench", n_inputs=5, n_outputs=4,
+                               n_flops=10, n_gates=120, seed=7)
+    return lock(circuit, TriLockConfig(kappa_s=2, kappa_f=1, alpha=0.6,
+                                       s_pairs=0, seed=11))
+
+
 def test_fig7_fc_sweep_packed(artifact_sink, bench_json_merge):
     """Fig. 7 FC estimation: packed-word batch vs the per-vector loop.
     Bar: >= 3x, identical estimates."""
-    circuit = generate_circuit("fc_bench", n_inputs=5, n_outputs=4,
-                               n_flops=10, n_gates=120, seed=7)
-    locked = lock(circuit, TriLockConfig(kappa_s=2, kappa_f=1, alpha=0.6,
-                                         s_pairs=0, seed=11))
+    locked = _fc_bench_locked()
     depth, n_samples, seed = 3, 400, 0
 
     start = time.process_time()
@@ -253,6 +265,52 @@ def test_fig7_fc_sweep_packed(artifact_sink, bench_json_merge):
         f"packed batch:    {fast_seconds * 1000:.1f}ms\n"
         f"speedup: {speedup:.1f}x (estimates identical: "
         f"FC={fast_fc:.4f})\n")
+
+
+def _fc_per_depth(locked, depths, n_samples, seed):
+    """A Fig. 7 cell as one :func:`simulate_fc` per depth, each compiling
+    both netlists and running its own window."""
+    return mean(simulate_fc(locked, depth, n_samples=n_samples,
+                            seed=derive_seed("fc", seed, depth))
+                for depth in depths)
+
+
+def test_fig7_fc_window_packed(artifact_sink, bench_json_merge):
+    """A Fig. 7 cell's six depth windows: one packed run per netlist vs
+    one run per depth. Bar: >= 2x, identical averages."""
+    locked = _fc_bench_locked()
+    depths, n_samples, seed = paper_depth_range(2), PAPER_FC_SAMPLES, 0
+
+    loop_seconds = packed_seconds = float("inf")
+    for _ in range(_REPEATS):
+        start = time.process_time()
+        loop_fc = _fc_per_depth(locked, depths, n_samples, seed)
+        loop_seconds = min(loop_seconds, time.process_time() - start)
+        start = time.process_time()
+        packed_fc = average_simulated_fc(locked, depths,
+                                         n_samples=n_samples, seed=seed)
+        packed_seconds = min(packed_seconds, time.process_time() - start)
+
+    assert packed_fc == loop_fc
+    speedup = loop_seconds / packed_seconds
+    assert speedup >= 2.0, f"fig7 FC window only {speedup:.2f}x"
+    bench_json_merge("solver", {
+        "fig7_fc_window": {
+            "instance": f"fc_bench 120 gates, depths {depths}, "
+                        f"{n_samples} samples",
+            "per_depth_seconds": loop_seconds,
+            "packed_seconds": packed_seconds,
+            "speedup": speedup,
+        },
+    })
+    artifact_sink(
+        "solver_fig7_window",
+        f"fig7 FC cell, 120-gate circuit, depths {depths}, "
+        f"{n_samples} samples\n"
+        f"one run per depth: {loop_seconds * 1000:.1f}ms\n"
+        f"one packed run:    {packed_seconds * 1000:.1f}ms\n"
+        f"speedup: {speedup:.1f}x (averages identical: "
+        f"FC={packed_fc:.4f})\n")
 
 
 # ----------------------------------------------------------------------

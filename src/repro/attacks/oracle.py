@@ -20,6 +20,8 @@ that does not depend on how the sequences were batched.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from repro.errors import AttackError
 from repro.sim.seq import SequentialSimulator
 
@@ -29,9 +31,14 @@ class SimulationOracle:
 
     def __init__(self, original_netlist):
         self._netlist = original_netlist
-        self._sim = SequentialSimulator(original_netlist)
         self.query_count = 0
         self.pattern_count = 0
+
+    @cached_property
+    def _sim(self):
+        """The original netlist's simulator, compiled on the first query
+        (a census-only attack never asks the oracle anything)."""
+        return SequentialSimulator(self._netlist)
 
     @property
     def input_width(self):

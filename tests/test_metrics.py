@@ -1,8 +1,19 @@
 """Tests for metrics: FC estimation, resilience measurement, overhead."""
 
-import pytest
+import functools
+import importlib.util
+import statistics
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.metrics.corruptibility as corruptibility
+import repro.sim.seq as seq_module
+from repro.api import SCHEMES
 from repro.core import fc_trilock, fc_trilock_exact
+from repro.errors import SimulationError
+from repro.experiments import fig7_fc
 from repro.metrics import (
     average_simulated_fc,
     exhaustive_fc,
@@ -12,8 +23,18 @@ from repro.metrics import (
     paper_depth_range,
     simulate_fc,
 )
+from repro.sim import (
+    NUMPY_MIN_PATTERNS,
+    SequentialSimulator,
+    derive_seed,
+    make_rng,
+)
+from repro.sim.bitvec import mask_for
+from repro.sim.random_vectors import random_input_words
 
-from tests.conftest import locked_factory, _locked_mid
+from tests.conftest import _locked_mid, _tiny_circuit, locked_factory
+
+_HAVE_NUMPY = importlib.util.find_spec("numpy") is not None
 
 
 class TestSimulatedFc:
@@ -63,6 +84,121 @@ class TestSimulatedFc:
         # Eq. 15 itself: alpha scales the ceiling.
         assert fc_trilock(0.6, 1, 4) == pytest.approx(
             0.6 * (1 - 1 / 16))
+
+
+@functools.lru_cache(maxsize=None)
+def _fc_lock(scheme):
+    if scheme == "trilock":
+        return locked_factory(kappa_s=2, kappa_f=1, alpha=0.6, seed=3)
+    return SCHEMES.get(scheme).lock(_tiny_circuit(), seed=1)
+
+
+def _per_depth_fcs(locked, depths, n_samples, seed):
+    """The estimator as one pair of runs per depth, each compiling its
+    own simulators: the reference the packed run must equal bit for
+    bit."""
+    fcs = []
+    for depth in depths:
+        rng = make_rng(("fc", derive_seed("fc", seed, depth)))
+        kappa = locked.config.kappa
+        inputs = locked.netlist.inputs
+        stimulus = [random_input_words(rng, inputs, n_samples)
+                    for _ in range(kappa + depth)]
+        locked_outputs, _ = SequentialSimulator(locked.netlist).run(
+            stimulus, n_samples)
+        oracle_outputs, _ = SequentialSimulator(locked.original).run(
+            stimulus[kappa:], n_samples)
+        mismatch = 0
+        for cycle in range(depth):
+            for locked_word, oracle_word in zip(
+                    locked_outputs[kappa + cycle], oracle_outputs[cycle]):
+                mismatch |= locked_word ^ oracle_word
+        fcs.append((mismatch & mask_for(n_samples)).bit_count() / n_samples)
+    return fcs
+
+
+def _counting_simulator(monkeypatch):
+    """Swap the estimator's simulator for a subclass that counts
+    constructions and runs."""
+    calls = {"init": 0, "run": 0}
+
+    class Counting(SequentialSimulator):
+        def __init__(self, netlist):
+            calls["init"] += 1
+            super().__init__(netlist)
+
+        def run(self, *args, **kwargs):
+            calls["run"] += 1
+            return super().run(*args, **kwargs)
+
+    monkeypatch.setattr(corruptibility, "SequentialSimulator", Counting)
+    return calls
+
+
+class TestPackedFc:
+    """All depth windows of a Fig. 7 cell share one packed run per
+    netlist; each window's fraction must equal a run of its own."""
+
+    @pytest.mark.parametrize("path", [
+        "bigint",
+        pytest.param("limbs", marks=pytest.mark.skipif(
+            not _HAVE_NUMPY, reason="numpy not installed")),
+    ])
+    @settings(max_examples=20, deadline=None)
+    @given(scheme=st.sampled_from(["trilock", "naive", "sarlock"]),
+           depths=st.lists(st.integers(1, 5), min_size=1, max_size=6),
+           n_samples=st.integers(1, 150),
+           seed=st.integers(0, 1000))
+    def test_equals_per_depth_loop(self, path, scheme, depths, n_samples,
+                                   seed):
+        locked = _fc_lock(scheme)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv("REPRO_NO_NUMPY", "1")
+            want = _per_depth_fcs(locked, depths, n_samples, seed)
+            if path == "limbs":
+                patch.delenv("REPRO_NO_NUMPY")
+                patch.setattr(seq_module, "NUMPY_MIN_PATTERNS", 1)
+            got = average_simulated_fc(locked, depths, n_samples=n_samples,
+                                       seed=seed)
+            singles = [simulate_fc(locked, depth, n_samples=n_samples,
+                                   seed=derive_seed("fc", seed, depth))
+                       for depth in depths]
+        assert got == statistics.mean(want)
+        assert singles == want
+
+    def test_packed_width_crosses_numpy_threshold(self):
+        """Two windows of just over half ``NUMPY_MIN_PATTERNS`` samples:
+        the packed run is wide enough for the limb path while each
+        per-depth reference run stays on bigints."""
+        locked = _fc_lock("trilock")
+        n_samples = NUMPY_MIN_PATTERNS // 2 + 5
+        got = average_simulated_fc(locked, [1, 3], n_samples=n_samples,
+                                   seed=2)
+        want = _per_depth_fcs(locked, [1, 3], n_samples, 2)
+        assert got == statistics.mean(want)
+
+    @pytest.mark.parametrize("depths", [[3], [1, 2, 3], paper_depth_range(4)])
+    def test_one_compile_and_run_per_netlist(self, depths, monkeypatch):
+        calls = _counting_simulator(monkeypatch)
+        average_simulated_fc(_fc_lock("trilock"), depths, n_samples=70,
+                             seed=1)
+        assert calls == {"init": 2, "run": 2}
+
+    def test_empty_depth_list_raises_typed_error(self):
+        with pytest.raises(SimulationError, match="at least one depth"):
+            average_simulated_fc(_fc_lock("trilock"), [])
+
+    def test_fig7_negative_span_raises_typed_error(self):
+        with pytest.raises(SimulationError, match="at least one depth"):
+            fig7_fc.fc_cell("suite:b12?scale=0.05&seed=0", seed=0,
+                            kappa_s=2, kappa_f=1, alpha=0.6, n_samples=64,
+                            depth_span=-1)
+
+    def test_bad_depth_raises_before_simulating(self, monkeypatch):
+        calls = _counting_simulator(monkeypatch)
+        with pytest.raises(SimulationError, match="depth must be >= 1"):
+            average_simulated_fc(_fc_lock("trilock"), [2, 0], n_samples=70)
+        assert calls == {"init": 0, "run": 0}
 
 
 class TestResilience:

@@ -37,7 +37,7 @@ from repro.core.rivals import lock_sarlock
 from repro.errors import AttackError
 from repro.netlist.transform import InputSpecializer, simplified
 from repro.sat import Solver, make_backend
-from repro.sim import make_rng
+from repro.sim import SequentialSimulator, make_rng
 from repro.sim.random_vectors import random_vectors
 
 from tests.conftest import _locked_tiny, _tiny_circuit, locked_factory
@@ -46,6 +46,41 @@ from tests.conftest import _locked_tiny, _tiny_circuit, locked_factory
 def _random_sequences(n_sequences, width, cycles, seed=7):
     rng = make_rng(("oracle-batch", seed))
     return [random_vectors(rng, width, cycles) for _ in range(n_sequences)]
+
+
+def _count_compiles(monkeypatch):
+    """Record the netlist of every ``SequentialSimulator`` built."""
+    built = []
+    compile_netlist = SequentialSimulator.__init__
+
+    def counting_init(self, netlist):
+        built.append(netlist)
+        compile_netlist(self, netlist)
+
+    monkeypatch.setattr(SequentialSimulator, "__init__", counting_init)
+    return built
+
+
+class TestLazyCompile:
+    def test_first_query_compiles_once(self, monkeypatch):
+        built = _count_compiles(monkeypatch)
+        locked = _locked_tiny()
+        oracle = SimulationOracle(locked.original)
+        assert built == []
+        sequences = _random_sequences(3, oracle.input_width, 2)
+        oracle.query(sequences[0])
+        oracle.query_batch(sequences)
+        assert built == [locked.original]
+        assert (oracle.query_count, oracle.pattern_count) == (2, 4)
+
+    def test_census_only_removal_compiles_nothing(self, monkeypatch):
+        """Table II's census cells never ask the oracle ``Attack.run``
+        builds for them, so the original is never compiled."""
+        built = _count_compiles(monkeypatch)
+        locked = locked_factory(kappa_s=2, s_pairs=2, seed=3)
+        outcome = ATTACKS.get("removal").run(locked, strip=False)
+        assert outcome.metrics["stripped"] == 0
+        assert built == []
 
 
 class TestQueryBatch:
