@@ -10,6 +10,8 @@ Acceptance bars:
 * vectorized fig3/fig7 sweeps >= 3x the per-vector loop;
 * a Fig. 7 cell's depth windows in one packed run >= 2x one run per
   depth;
+* Table II's S=30 lock of the full-scale s38584 stand-in applies 29
+  pairs with exactly one full SCC decomposition;
 * the 48-gate ``comb_sat`` cell recovers a key after exactly
   2^(κs·|I|) = 256 DIPs.
 
@@ -24,7 +26,7 @@ from statistics import mean
 
 import pytest
 
-from repro.api import SCHEMES
+from repro.api import SCHEMES, load_circuit
 from repro.attacks import (
     SimulationOracle,
     comb_sat_attack,
@@ -32,7 +34,7 @@ from repro.attacks import (
 )
 from repro.attacks.seq_sat import _with_folded_constants
 from repro.bench.synth import generate_circuit
-from repro.core import TriLockConfig, lock
+from repro.core import RegisterGraph, TriLockConfig, lock
 from repro.core.error_tables import measured_error_table
 from repro.metrics import (
     PAPER_FC_SAMPLES,
@@ -311,6 +313,50 @@ def test_fig7_fc_window_packed(artifact_sink, bench_json_merge):
         f"one packed run:    {packed_seconds * 1000:.1f}ms\n"
         f"speedup: {speedup:.1f}x (averages identical: "
         f"FC={packed_fc:.4f})\n")
+
+
+# ----------------------------------------------------------------------
+# Removal defence: Algorithm 1's state re-encoding
+# ----------------------------------------------------------------------
+def test_reencode_s30(artifact_sink, bench_json_merge, monkeypatch):
+    """Table II's S=30 cell: lock the full-scale s38584 stand-in with
+    κs=3 and 30 re-encoding pairs (29 apply at seed 0). A spy counts
+    full SCC decompositions: Algorithm 1 makes one per call and then
+    updates only the merged node's SCC."""
+    circuit = load_circuit("suite:s38584?scale=1.0&seed=0")
+    config = TriLockConfig(kappa_s=3, kappa_f=1, alpha=0.6, s_pairs=30,
+                           seed=0)
+    decompositions = []
+    full_sccs = RegisterGraph.sccs
+
+    def counted(graph):
+        decompositions.append(graph)
+        return full_sccs(graph)
+
+    monkeypatch.setattr(RegisterGraph, "sccs", counted)
+    seconds = float("inf")
+    for _ in range(_REPEATS):
+        decompositions.clear()
+        start = time.process_time()
+        locked = lock(circuit, config)
+        seconds = min(seconds, time.process_time() - start)
+        assert len(decompositions) == 1  # one apply_state_reencoding call
+    pairs = len(locked.reencoded_pairs)
+    assert pairs == 29
+    bench_json_merge("solver", {
+        "reencode_s30": {
+            "instance": "suite:s38584?scale=1.0&seed=0, ks=3, S=30",
+            "lock_seconds": seconds,
+            "pairs_applied": pairs,
+            "full_scc_decompositions": len(decompositions),
+        },
+    })
+    artifact_sink(
+        "solver_reencode_s30",
+        f"Table II S=30 lock, s38584 stand-in "
+        f"({circuit.num_flops()} flops, {circuit.num_gates()} gates)\n"
+        f"lock: {seconds:.2f}s CPU, {pairs} pairs applied, "
+        f"{len(decompositions)} full SCC decomposition\n")
 
 
 # ----------------------------------------------------------------------

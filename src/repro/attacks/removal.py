@@ -20,11 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from repro.attacks.bmc import bounded_equivalence
 from repro.attacks.comb_sat import comb_sat_attack
-from repro.core.rcg import build_rcg, cyclic_sccs
+from repro.core.rcg import build_rcg, members
 from repro.netlist.transform import simplified, specialise_on_inputs
 from repro.unroll import unroll
 
@@ -50,12 +48,6 @@ class SccReport:
         }
 
 
-def _kind_of(kinds):
-    if "encoded" in kinds or len(kinds) > 1:
-        return "M"
-    return "O" if kinds == {"original"} else "E"
-
-
 def scc_report(locked, include_trivial=False):
     """SCC clustering quality against ground-truth provenance.
 
@@ -63,23 +55,19 @@ def scc_report(locked, include_trivial=False):
     the convention set in DESIGN.md §6; ``include_trivial`` also counts
     isolated registers as their own SCCs.
     """
-    provenance = locked.register_provenance()
-    graph = build_rcg(locked.netlist, provenance)
-    if include_trivial:
-        components = [set(c) for c in nx.strongly_connected_components(graph)]
-    else:
-        components = cyclic_sccs(graph)
+    graph = build_rcg(locked.netlist, locked.register_provenance())
+    components = graph.sccs() if include_trivial else graph.cyclic_sccs()
 
     counts = {"O": 0, "E": 0, "M": 0}
     registers_in_m = 0
     details = []
     for component in components:
-        kinds = {graph.nodes[n]["provenance"] for n in component}
-        kind = _kind_of(kinds)
+        kind = graph.classify(component)
+        size = component.bit_count()
         counts[kind] += 1
         if kind == "M":
-            registers_in_m += len(component)
-        details.append((kind, len(component)))
+            registers_in_m += size
+        details.append((kind, size))
 
     total = locked.netlist.num_flops()
     return SccReport(
@@ -97,24 +85,30 @@ def separable_registers(netlist, anchor_rank=0):
     """Registers structurally separable from an anchor SCC.
 
     Pure structural labelling — exactly what a removal attacker can
-    compute. The anchor is the ``anchor_rank``-th largest cyclic SCC; a
-    register is separable when it *influences* the anchor (it reaches it)
-    but is itself outside the anchor's forward cone — the signature of an
-    autonomous controller grafted onto a design, which is what a lock FSM
-    is. Without re-encoding the lock's phase counter and comparison flags
-    land here; Algorithm 1 exists precisely to absorb them into the mixed
-    SCC so that nothing separable remains.
+    compute. The anchor is the ``anchor_rank``-th largest cyclic SCC
+    (equal sizes ranked by their earliest register in ``netlist.flops``
+    order); a register is separable when it *influences* the anchor (it
+    reaches it) but is itself outside the anchor's forward cone — the
+    signature of an autonomous controller grafted onto a design, which
+    is what a lock FSM is. Without re-encoding the lock's phase counter
+    and comparison flags land here; Algorithm 1 exists precisely to
+    absorb them into the mixed SCC so that nothing separable remains.
     """
     graph = build_rcg(netlist)
-    components = sorted(cyclic_sccs(graph), key=len, reverse=True)
-    if anchor_rank >= len(components):
+    return _separable(graph, _anchors(graph), anchor_rank)
+
+
+def _anchors(graph):
+    """Cyclic SCCs, largest first, ties to the earliest register."""
+    return sorted(graph.cyclic_sccs(), key=lambda bits: -bits.bit_count())
+
+
+def _separable(graph, anchors, anchor_rank):
+    if anchor_rank >= len(anchors):
         return []
-    anchor = components[anchor_rank]
-    seed = next(iter(anchor))
-    forward = nx.descendants(graph, seed) | anchor
-    backward = nx.ancestors(graph, seed) | anchor
-    return [q for q in netlist.flops
-            if q not in forward and q in backward]
+    anchor = anchors[anchor_rank]
+    separable = graph.backward(anchor) & ~graph.forward(anchor)
+    return [graph.names[node] for node in members(separable)]
 
 
 @dataclass
@@ -145,8 +139,10 @@ def attempt_removal(locked, oracle, depth=None, max_dips=256,
         success=False, stripped_registers=(), tie_values=None,
         n_dips=0, verified=False,
         reason="no structurally separable registers")
+    graph = build_rcg(locked.netlist)
+    anchors = _anchors(graph)
     for rank in range(anchor_tries):
-        suspects = separable_registers(locked.netlist, anchor_rank=rank)
+        suspects = _separable(graph, anchors, rank)
         if not suspects:
             continue
         attempt = _attempt_removal_with(

@@ -19,8 +19,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-import networkx as nx
-
 from repro.errors import AttackError
 from repro.sim.bitvec import mask_for
 from repro.sim.comb import CombSimulator
@@ -37,6 +35,8 @@ def extract_stg(netlist, max_states=_DEFAULT_MAX_STATES):
     first); each state is expanded over the complete input alphabet in
     one bit-parallel evaluation. Guarded for small input counts.
     """
+    import networkx as nx  # STG analysis only: keep it off the import path
+
     width = len(netlist.inputs)
     if width > _MAX_INPUT_BITS:
         raise AttackError(
@@ -93,6 +93,8 @@ def extract_stg(netlist, max_states=_DEFAULT_MAX_STATES):
 
 def terminal_sccs(graph):
     """SCCs with no edge leaving them (sink clusters / absorbing sets)."""
+    import networkx as nx
+
     condensation = nx.condensation(graph)
     sinks = []
     for node in condensation.nodes:

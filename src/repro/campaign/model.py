@@ -29,7 +29,10 @@ from repro.errors import CampaignError
 #: v5: the DIP engine pins I/O pairs through one hashed problem netlist
 #: (a new clause store, so a new DIP walk where keys are not unique on
 #: the window), and a DIP budget the attack exactly needs succeeds.
-CODE_VERSION = "trilock-campaign-v5"
+#: v6: Algorithm 1 breaks SCC ties by the earliest register instead of
+#: set iteration order, and skips SCCs without a zero-reset register
+#: (re-encoded pairs move); equal-size removal anchors rank the same way.
+CODE_VERSION = "trilock-campaign-v6"
 
 
 def canonical_json(value):

@@ -26,7 +26,7 @@ from repro.core.error_tables import (
 )
 from repro.core.keys import KeySequence, random_key, random_suffix_constant
 from repro.core.locker import LockedCircuit, lock
-from repro.core.rcg import build_rcg, cyclic_sccs, flop_register_supports
+from repro.core.rcg import RegisterGraph, build_rcg
 from repro.core.reencode import apply_state_reencoding, insert_encoder_decoder
 
 __all__ = [
@@ -34,10 +34,10 @@ __all__ = [
     "ErrorTable",
     "KeySequence",
     "LockedCircuit",
+    "RegisterGraph",
     "TriLockConfig",
     "apply_state_reencoding",
     "build_rcg",
-    "cyclic_sccs",
     "e_n",
     "expected_runtime_extrapolation",
     "fc_max_trilock",
@@ -45,7 +45,6 @@ __all__ = [
     "fc_naive_exact",
     "fc_trilock",
     "fc_trilock_exact",
-    "flop_register_supports",
     "insert_encoder_decoder",
     "lock",
     "lock_harpoon_like",

@@ -13,15 +13,21 @@ function is untouched, while the new registers sit on looped paths between
 the two SCCs (Eq. 17) and merge them into one mixed SCC.
 
 Algorithm 1's ``update_graph`` is implemented as an exact node merge on
-the RCG (the four encoded registers share identical fan-in/fan-out), so
-the per-iteration SCC rerun never re-extracts the netlist.
+the RCG (the four encoded registers share identical fan-in/fan-out). The
+graph is decomposed into SCCs once; after each merge only the merged
+node's SCC is recomputed (:class:`~repro.core.rcg.SccPartition`), and the
+netlist is never re-extracted.
+
+"Largest" ranks SCCs by (weight, max degree), ties going to the SCC that
+holds the earliest register in RCG order (``netlist.flops`` order), so a
+lock does not depend on set iteration order. Only zero-reset physical
+registers are candidates (the all-zero encoded reset state decodes to
+``(0, 0)``); an SCC without one is not eligible.
 """
 
 from __future__ import annotations
 
-import networkx as nx
-
-from repro.core.rcg import build_rcg
+from repro.core.rcg import SccPartition, build_rcg, members
 from repro.errors import LockingError
 from repro.netlist.builder import LogicBuilder
 from repro.sim.random_vectors import make_rng
@@ -45,20 +51,25 @@ def apply_state_reencoding(locked, s_pairs, rng=None, codec_variants=None):
 
     netlist = locked.netlist
     builder = LogicBuilder(netlist, prefix="re")
-    provenance = locked.register_provenance()
-    graph = build_rcg(netlist, provenance)
+    graph = build_rcg(netlist, locked.register_provenance())
+    sccs = SccPartition(graph)
+    candidates = 0
+    for node, flop in enumerate(netlist.flops.values()):
+        if not flop.init:
+            candidates |= 1 << node
 
     pairs = []
     encoded = list(locked.encoded_registers)
     for iteration in range(s_pairs):
-        selection = _select_pair(graph)
+        selection = _select_pair(sccs, candidates)
         if selection is None:
             break
-        r1, r2 = selection
+        a, b = selection
+        r1, r2 = graph.names[a], graph.names[b]
         variant = variants[iteration % len(variants)]
         new_regs = insert_encoder_decoder(builder, r1, r2, iteration,
                                           variant=variant)
-        _merge_nodes(graph, r1, r2, f"enc{iteration}", len(new_regs), new_regs)
+        sccs.merge(a, b, f"enc{iteration}", len(new_regs))
         pairs.append((r1, r2))
         encoded.extend(new_regs)
 
@@ -67,72 +78,33 @@ def apply_state_reencoding(locked, s_pairs, rng=None, codec_variants=None):
     return pairs
 
 
-def _component_kind(graph, component):
-    kinds = set()
-    for node in component:
-        kinds.add(graph.nodes[node]["provenance"])
-    if "encoded" in kinds or len(kinds) > 1:
-        return "M"
-    return "O" if kinds == {"original"} else "E"
-
-
-def _component_weight(graph, component):
-    return sum(graph.nodes[node]["weight"] for node in component)
-
-
-def _select_pair(graph):
-    """Algorithm 1 lines 3-10: pick ``(r1, r2)`` from two SCCs."""
+def _select_pair(sccs, candidates):
+    """Algorithm 1 lines 3-10: pick nodes ``(a, b)`` from two SCCs."""
     buckets = {"O": [], "E": [], "M": []}
-    for component in nx.strongly_connected_components(graph):
-        buckets[_component_kind(graph, component)].append(component)
+    for key, (bits, _, _, kind) in sccs.components.items():
+        if bits & candidates:
+            buckets[kind].append(key)
 
-    def largest(components):
-        return max(
-            components,
-            key=lambda c: (_component_weight(graph, c), _max_degree(graph, c)),
-        )
+    def rank(key):
+        _, weight, max_degree, _ = sccs.components[key]
+        return weight, max_degree, -key  # ties: the earliest register
 
     if buckets["O"] and buckets["E"]:
-        scc1, scc2 = largest(buckets["O"]), largest(buckets["E"])
+        scc1, scc2 = max(buckets["O"], key=rank), max(buckets["E"], key=rank)
     else:
         remaining = buckets["O"] or buckets["E"]
         if not remaining or not buckets["M"]:
             return None
-        scc1, scc2 = largest(remaining), largest(buckets["M"])
-
-    r1 = _max_degree_register(graph, scc1)
-    r2 = _max_degree_register(graph, scc2)
-    if r1 is None or r2 is None or r1 == r2:
-        return None
-    return r1, r2
+        scc1, scc2 = max(remaining, key=rank), max(buckets["M"], key=rank)
+    return (_max_degree_register(sccs, scc1, candidates),
+            _max_degree_register(sccs, scc2, candidates))
 
 
-def _max_degree(graph, component):
-    return max(graph.degree(node) for node in component)
-
-
-def _max_degree_register(graph, component):
-    """Highest-degree *physical* register (weight-1 node) in the SCC."""
-    candidates = [n for n in component if graph.nodes[n]["weight"] == 1]
-    if not candidates:
-        return None
-    return max(candidates, key=lambda n: (graph.degree(n), n))
-
-
-def _merge_nodes(graph, r1, r2, merged_name, weight, members):
-    """Exact RCG update: the encoded node inherits both fan-in/fan-out."""
-    predecessors = set(graph.predecessors(r1)) | set(graph.predecessors(r2))
-    successors = set(graph.successors(r1)) | set(graph.successors(r2))
-    predecessors = {merged_name if p in (r1, r2) else p for p in predecessors}
-    successors = {merged_name if s in (r1, r2) else s for s in successors}
-    graph.remove_node(r1)
-    graph.remove_node(r2)
-    graph.add_node(merged_name, weight=weight, provenance="encoded",
-                   members=tuple(members))
-    for p in predecessors:
-        graph.add_edge(p, merged_name)
-    for s in successors:
-        graph.add_edge(merged_name, s)
+def _max_degree_register(sccs, key, candidates):
+    """Highest-degree candidate register of an SCC (ties: larger name)."""
+    graph = sccs.graph
+    return max(members(sccs.components[key][0] & candidates),
+               key=lambda node: (graph.degrees[node], graph.names[node]))
 
 
 #: Available encoder/decoder variants. The paper suggests varying the

@@ -31,6 +31,7 @@ class Netlist:
         self._gates = {}
         self._flops = {}
         self._topo_cache = None
+        self._validated = False
 
     # ------------------------------------------------------------------
     # Introspection
@@ -120,6 +121,7 @@ class Netlist:
         self._inputs.append(net)
         self._input_set.add(net)
         self._topo_cache = None
+        self._validated = False
         return net
 
     def add_output(self, net):
@@ -127,11 +129,13 @@ class Netlist:
         if not isinstance(net, str) or not net:
             raise NetlistError(f"output net must be a non-empty str, got {net!r}")
         self._outputs.append(net)
+        self._validated = False
         return net
 
     def clear_outputs(self):
         """Remove all primary-output markers (drivers stay in place)."""
         self._outputs = []
+        self._validated = False
 
     def set_output(self, position, net):
         """Re-point output ``position`` at a different net (order kept)."""
@@ -140,12 +144,14 @@ class Netlist:
         if not isinstance(net, str) or not net:
             raise NetlistError(f"output net must be a non-empty str, got {net!r}")
         self._outputs[position] = net
+        self._validated = False
 
     def add_gate(self, net, op, inputs=()):
         """Drive ``net`` with ``op(inputs)``; returns the net name."""
         self._check_fresh(net)
         self._gates[net] = Gate(op, tuple(inputs))
         self._topo_cache = None
+        self._validated = False
         return net
 
     def add_flop(self, q, d, init=False):
@@ -153,6 +159,7 @@ class Netlist:
         self._check_fresh(q)
         self._flops[q] = Flop(d, init)
         self._topo_cache = None
+        self._validated = False
         return q
 
     def replace_gate(self, net, op, inputs=()):
@@ -161,6 +168,7 @@ class Netlist:
             raise NetlistError(f"net {net!r} is not gate-driven")
         self._gates[net] = Gate(op, tuple(inputs))
         self._topo_cache = None
+        self._validated = False
 
     def replace_flop_d(self, q, d):
         """Re-point flop ``q``'s D input at net ``d``."""
@@ -168,6 +176,7 @@ class Netlist:
             raise NetlistError(f"net {q!r} is not flop-driven")
         self._flops[q] = Flop(d, self._flops[q].init)
         self._topo_cache = None
+        self._validated = False
 
     def remove_flop(self, q):
         """Delete flop ``q`` (the Q net becomes undriven)."""
@@ -175,6 +184,7 @@ class Netlist:
             raise NetlistError(f"net {q!r} is not flop-driven")
         del self._flops[q]
         self._topo_cache = None
+        self._validated = False
 
     def remove_gate(self, net):
         """Delete the gate driving ``net`` (the net becomes undriven)."""
@@ -182,6 +192,7 @@ class Netlist:
             raise NetlistError(f"net {net!r} is not gate-driven")
         del self._gates[net]
         self._topo_cache = None
+        self._validated = False
 
     # ------------------------------------------------------------------
     # Structural queries
@@ -201,19 +212,26 @@ class Netlist:
         return {net for net in self.referenced_nets() if not self.is_driven(net)}
 
     def validate(self):
-        """Raise :class:`NetlistError` on dangling nets or comb cycles."""
+        """Raise :class:`NetlistError` on dangling nets or comb cycles.
+
+        Returns at once when nothing was mutated since the last success.
+        """
+        if self._validated:
+            return self
         dangling = self.undriven_nets()
         if dangling:
             preview = ", ".join(sorted(dangling)[:8])
             raise NetlistError(f"undriven nets: {preview}")
         self.topo_order()  # raises CombinationalCycleError on a cycle
+        self._validated = True
         return self
 
     def topo_order(self):
         """Gate nets in combinational topological order (cached).
 
         Primary inputs and flop Q nets are sources and are not listed; the
-        order is valid for single-pass evaluation of all gates.
+        order is valid for single-pass evaluation of all gates. The list
+        is shared with copies of this netlist: never mutate it.
         """
         if self._topo_cache is not None:
             return self._topo_cache
@@ -300,13 +318,19 @@ class Netlist:
     # Copies and renaming
     # ------------------------------------------------------------------
     def copy(self, name=None):
-        """Deep-enough copy (gates/flops are immutable value objects)."""
+        """Deep-enough copy (gates/flops are immutable value objects).
+
+        The copy shares the cached topological order and inherits the
+        validated state; its own mutators clear both.
+        """
         dup = Netlist(name if name is not None else self.name)
         dup._inputs = list(self._inputs)
         dup._input_set = set(self._input_set)
         dup._outputs = list(self._outputs)
         dup._gates = dict(self._gates)
         dup._flops = dict(self._flops)
+        dup._topo_cache = self._topo_cache
+        dup._validated = self._validated
         return dup
 
     def renamed(self, mapping, name=None):

@@ -105,6 +105,51 @@ class TestTopoOrder:
         assert "extra" not in first
 
 
+#: Each mutator, applied to ``small_seq_netlist()``, leaves a dangling
+#: net or a combinational cycle behind.
+BREAKING_MUTATIONS = {
+    "add_gate": lambda n: n.add_gate("g", GateOp.NOT, ("ghost",)),
+    "replace_gate": lambda n: n.replace_gate("carry", GateOp.AND,
+                                             ("d1", "en")),
+    "add_flop": lambda n: n.add_flop("q2", "ghost"),
+    "replace_flop_d": lambda n: n.replace_flop_d("q0", "ghost"),
+    "remove_flop": lambda n: n.remove_flop("q1"),
+    "remove_gate": lambda n: n.remove_gate("carry"),
+    "add_output": lambda n: n.add_output("ghost"),
+    "set_output": lambda n: n.set_output(0, "ghost"),
+}
+
+
+class TestValidatedState:
+    @pytest.mark.parametrize("mutator", sorted(BREAKING_MUTATIONS))
+    @pytest.mark.parametrize("copied", [False, True])
+    def test_mutation_after_validate_is_caught(self, mutator, copied):
+        original = small_seq_netlist()
+        netlist = original.copy() if copied else original
+        BREAKING_MUTATIONS[mutator](netlist)
+        with pytest.raises(NetlistError):  # CombinationalCycleError too
+            netlist.validate()
+        if copied:
+            assert original.validate() is original
+
+    def test_copy_shares_order_until_mutated(self):
+        netlist = small_seq_netlist()
+        order = netlist.topo_order()
+        dup = netlist.copy()
+        assert dup.validate() is dup
+        assert dup.topo_order() is order
+        dup.add_gate("extra", GateOp.NOT, ("both",))
+        assert "extra" in dup.validate().topo_order()
+        assert netlist.topo_order() is order
+        assert "extra" not in order
+
+    def test_replace_gate_cycle_is_a_cycle_error(self):
+        netlist = small_seq_netlist()
+        BREAKING_MUTATIONS["replace_gate"](netlist)
+        with pytest.raises(CombinationalCycleError):
+            netlist.validate()
+
+
 class TestStructuralQueries:
     def test_fanin_cone(self):
         netlist = small_seq_netlist()
