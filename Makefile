@@ -72,8 +72,9 @@ bench:
 	$(PY) -m pytest benchmarks -q
 
 # Attack hot-path microbench: arena CDCL conflicts/sec on PHP(8,7),
-# vectorized fig3/fig7 sweeps vs per-vector loops, end-to-end comb_sat
-# phases. Writes benchmarks/artifacts/BENCH_solver.json.
+# vectorized fig3/fig7 sweeps vs per-vector loops, the Fig. 7 cell's
+# simulation program (slots, compile ms, ns/gate/cycle), end-to-end
+# comb_sat phases. Writes benchmarks/artifacts/BENCH_solver.json.
 bench-solver:
 	$(PY) -m pytest benchmarks/bench_solver.py -q
 

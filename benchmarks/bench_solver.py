@@ -10,6 +10,10 @@ Acceptance bars:
 * vectorized fig3/fig7 sweeps >= 3x the per-vector loop;
 * a Fig. 7 cell's depth windows in one packed run >= 2x one run per
   depth;
+* the Fig. 7 κs=4, κf=2 cell's two s38584 programs each hold at most a
+  third of their netlist's nets in slots, with the outputs of the
+  program that keeps every net (compile time, ns per gate per cycle and
+  slot counts are recorded);
 * Table II's S=30 lock of the full-scale s38584 stand-in applies 29
   pairs with exactly one full SCC decomposition;
 * the 48-gate ``comb_sat`` cell recovers a key after exactly
@@ -43,8 +47,15 @@ from repro.metrics import (
     simulate_fc,
 )
 from repro.sat import Solver, in_tree_engine_argv, make_backend
-from repro.sim import SequentialSimulator, derive_seed, have_numpy, make_rng
-from repro.sim.random_vectors import random_input_words
+from repro.sim import (
+    CombSimulator,
+    SequentialSimulator,
+    derive_seed,
+    have_numpy,
+    make_rng,
+    mask_for,
+)
+from repro.sim.random_vectors import random_input_words, random_sequence_words
 
 from conftest import run_once
 
@@ -313,6 +324,86 @@ def test_fig7_fc_window_packed(artifact_sink, bench_json_merge):
         f"one packed run:    {packed_seconds * 1000:.1f}ms\n"
         f"speedup: {speedup:.1f}x (averages identical: "
         f"FC={packed_fc:.4f})\n")
+
+
+def _run_keeping_every_net(netlist, stimulus, n_patterns):
+    """A sequential run on the program that keeps every net (no slot
+    reuse): ``CombSimulator.evaluate`` once per cycle."""
+    comb = CombSimulator(netlist)
+    state = {q: mask_for(n_patterns) if flop.init else 0
+             for q, flop in netlist.flops.items()}
+    outputs = []
+    for words in stimulus:
+        values = comb.evaluate({**words, **state}, n_patterns)
+        outputs.append([values[net] for net in netlist.outputs])
+        state = {q: values[flop.d] for q, flop in netlist.flops.items()}
+    return outputs, state
+
+
+def test_sim_program(artifact_sink, bench_json_merge):
+    """The compiled simulation program on a Fig. 7 cell: the κs=4, κf=2
+    lock of the full-scale s38584 stand-in and its original, run over
+    the cell's cycles (κ + max b = 15 locked, max b = 9 original) at its
+    4,800-bit packed width and at 1 bit. A recorded row, not a race:
+    compile time, ns per gate per cycle and slot counts. Bars: each
+    program holds at most a third of its netlist's nets in slots, and
+    its outputs and final state equal those of the program that keeps
+    every net."""
+    circuit = load_circuit("suite:s38584?scale=1.0&seed=0")
+    locked = SCHEMES.get("trilock").lock(circuit, seed=0, kappa_s=4,
+                                         kappa_f=2, alpha=0.9)
+    depths = paper_depth_range(4)
+    width = PAPER_FC_SAMPLES * len(depths)
+    cycles = locked.config.kappa + max(depths)
+    rows, lines = {}, []
+    for name, netlist, n_cycles in (("locked", locked.netlist, cycles),
+                                    ("original", locked.original,
+                                     max(depths))):
+        stimulus = random_sequence_words(make_rng(("sim_program", name)),
+                                         netlist.inputs, n_cycles, width)
+        narrow = [{net: word & 1 for net, word in words.items()}
+                  for words in stimulus]
+        compile_s = run_s = narrow_s = float("inf")
+        for _ in range(_REPEATS):
+            start = time.process_time()
+            sim = SequentialSimulator(netlist)
+            compile_s = min(compile_s, time.process_time() - start)
+            start = time.process_time()
+            result = sim.run(stimulus, width)
+            run_s = min(run_s, time.process_time() - start)
+            start = time.process_time()
+            sim.run(narrow, 1)
+            narrow_s = min(narrow_s, time.process_time() - start)
+        n_nets = len(netlist.nets())
+        assert sim.n_slots * 3 <= n_nets, (name, sim.n_slots, n_nets)
+        assert result == _run_keeping_every_net(netlist, stimulus, width)
+        gate_cycles = netlist.num_gates() * n_cycles
+        rows[name] = {
+            "gates": netlist.num_gates(),
+            "nets": n_nets,
+            "slots": sim.n_slots,
+            "cycles": n_cycles,
+            "compile_ms": compile_s * 1e3,
+            "ns_per_gate_cycle_4800": run_s / gate_cycles * 1e9,
+            "ns_per_gate_cycle_1": narrow_s / gate_cycles * 1e9,
+        }
+        row = rows[name]
+        lines.append(
+            f"{name}: {row['gates']} gates, {row['slots']}/{n_nets} slots, "
+            f"compile {row['compile_ms']:.1f}ms, "
+            f"{row['ns_per_gate_cycle_4800']:.0f} ns/gate/cycle at "
+            f"{width} bits, {row['ns_per_gate_cycle_1']:.0f} at 1 bit "
+            f"({n_cycles} cycles)")
+    bench_json_merge("solver", {
+        "sim_program": {
+            "instance": "fig7 s38584 scale=1.0, ks=4 kf=2 alpha=0.9 seed=0",
+            "width": width,
+            **rows,
+        },
+    })
+    artifact_sink("solver_sim_program",
+                  "fig7 cell simulation program (s38584 stand-in, "
+                  "ks=4, kf=2)\n" + "\n".join(lines) + "\n")
 
 
 # ----------------------------------------------------------------------

@@ -1,64 +1,171 @@
 """Bit-parallel combinational evaluation.
 
-:class:`CombSimulator` compiles a netlist's topological order once and then
-evaluates any number of pattern-packed stimulus words against it. Flop Q
-nets are treated as additional sources, so the same engine serves purely
-combinational circuits, unrolled circuits, and one clock phase of the
-sequential simulator.
+:class:`CombSimulator` compiles a netlist once into a program of word
+operations and then evaluates any number of pattern-packed stimulus words
+against it. Flop Q nets are treated as additional sources, so the same
+engine serves purely combinational circuits, unrolled circuits, and one
+clock phase of the sequential simulator.
 
-The program is compiled to integer indices: every net gets a slot in a
-flat value list and each step is ``(slot, opcode, input_slots)``, so the
-inner loop does list indexing instead of per-gate dict lookups. The same
-program drives two value representations:
+* **Program order.** Gates are emitted in the netlist's insertion order,
+  with any fan-in not yet emitted placed first. The generator,
+  :class:`~repro.netlist.builder.LogicBuilder` and the locker mostly add
+  a gate after its fan-in, and then the compile is one pass. Only a
+  forward reference (a gate reading a net inserted after it, as in a
+  ``.bench`` file or after state re-encoding re-points a gate) sends it
+  through one depth-first walk that places each gate's missing fan-in
+  just before it. Insertion order keeps each logic region's gates
+  together, where a breadth-first topological sort interleaves them all.
+* **Slot reuse.** Every value lives in one slot of a flat list. Sources
+  (primary inputs and flop Qs), primary outputs and the nets the caller
+  names in ``keep`` own their slot; any other net hands its slot to a
+  later gate once its last reader has run. So the live set follows the
+  circuit's width, not its size: the sequential simulator runs the
+  Fig. 7 κs=4, κf=2 lock of the s38584 stand-in in 3,326 slots for its
+  22,944 nets. ``keep=None`` keeps every net, which
+  :meth:`CombSimulator.evaluate` needs to return them all.
+* **Word ops.** A step is ``(opcode, dst, a, b)``: one two-input AND, OR
+  or XOR, a complemented one, a NOT, a BUF or a constant. An n-input
+  gate is n−1 steps accumulating in its own slot, the last of them
+  complementing for NAND/NOR/XNOR. The complement is ``x ^ mask``:
+  ``~x & mask`` detours through a negative bigint and costs about five
+  times as much on a 4,800-bit word.
 
-* **bigint words** (the historical path) — one arbitrary-precision int
-  per net, bit ``j`` = pattern ``j``;
-* **numpy limb arrays** (:meth:`evaluate_slots_array`) — one little-
-  endian ``uint64`` array per net, used by the sequential simulator for
-  wide sweeps when numpy is available.
+One evaluator, :meth:`CombSimulator.evaluate_slots`, runs the program over
+either value representation, since both support ``&``, ``|`` and ``^``:
 
-Bitwise ops never mix bit positions, so the two representations agree
-bit-for-bit on the low ``n_patterns`` bits; high garbage bits in the
-array path are masked at extraction time
-(:func:`repro.sim.bitvec.array_to_word`).
+* **bigint words** — one arbitrary-precision int per slot, bit ``j`` =
+  pattern ``j``, with ``mask`` the all-ones word;
+* **numpy limb arrays** — one little-endian ``uint64`` array per slot,
+  used by the sequential simulator for wide sweeps, with ``mask`` the
+  all-ones limb array. Bits above ``n_patterns`` then carry garbage that
+  extraction masks off (:func:`repro.sim.bitvec.array_to_word`).
+
+Bitwise ops never mix bit positions, so the two agree bit-for-bit on the
+low ``n_patterns`` bits.
 """
 
 from __future__ import annotations
+
+from collections import Counter
+from itertools import chain
 
 from repro.errors import SimulationError
 from repro.netlist.gates import GateOp
 from repro.sim.bitvec import mask_for
 
-#: Compiled opcodes (list indices beat enum identity checks in the loop).
-_CONST0, _CONST1, _BUF, _NOT, _AND, _NAND, _OR, _NOR, _XOR, _XNOR = range(10)
+#: Step opcodes, in the evaluator's dispatch order (most frequent first).
+_OPCODES = range(10)
+_AND, _OR, _NAND, _NOR, _NOT, _XOR, _BUF, _XNOR, _CONST0, _CONST1 = _OPCODES
 
-_OPCODE = {
-    GateOp.CONST0: _CONST0, GateOp.CONST1: _CONST1,
-    GateOp.BUF: _BUF, GateOp.NOT: _NOT,
-    GateOp.AND: _AND, GateOp.NAND: _NAND,
-    GateOp.OR: _OR, GateOp.NOR: _NOR,
-    GateOp.XOR: _XOR, GateOp.XNOR: _XNOR,
+#: Gate op -> (opcode of an n-input gate's leading steps, of its last step).
+_STEPS = {
+    GateOp.AND: (_AND, _AND), GateOp.NAND: (_AND, _NAND),
+    GateOp.OR: (_OR, _OR), GateOp.NOR: (_OR, _NOR),
+    GateOp.XOR: (_XOR, _XOR), GateOp.XNOR: (_XOR, _XNOR),
+    GateOp.NOT: (_NOT, _NOT), GateOp.BUF: (_BUF, _BUF),
+    GateOp.CONST0: (_CONST0, _CONST0), GateOp.CONST1: (_CONST1, _CONST1),
 }
 
 
-class CombSimulator:
-    """Single-pass evaluator over a fixed netlist."""
+def _compile(netlist, keep):
+    """``(program, slot_of, n_slots)`` for a validated ``netlist``.
 
-    def __init__(self, netlist):
+    ``slot_of`` maps every net to the slot it was written to; a reused
+    slot's earlier nets keep stale entries, so callers read only sources
+    and pinned nets through it.
+    """
+    gates = netlist.gates
+    compiled = _compile_in(gates.items(), gates, netlist, keep)
+    if compiled is None:  # some gate reads a net inserted after it
+        compiled = _compile_in(_fanin_first(netlist, gates), gates, netlist,
+                               keep)
+    return compiled
+
+
+def _fanin_first(netlist, gates):
+    """``gates.items()`` in insertion order, but with each gate's fan-in
+    not yet placed walked depth-first and placed just before it."""
+    placed = set(netlist.inputs).union(netlist.flops)
+    order = []
+    for root in gates:
+        stack = [root]
+        while stack:
+            net = stack[-1]
+            if net in placed:
+                stack.pop()
+                continue
+            missing = [src for src in gates[net].inputs if src not in placed]
+            if missing:
+                stack.extend(missing)
+            else:
+                placed.add(stack.pop())
+                order.append((net, gates[net]))
+    return order
+
+
+def _compile_in(order, gates, netlist, keep):
+    """:func:`_compile` emitting ``gates`` in ``order`` (``(net, gate)``
+    pairs); ``None`` if a gate reads a net not emitted yet."""
+    slot_of = {net: slot
+               for slot, net in enumerate([*netlist.inputs, *netlist.flops])}
+    pinned = set(slot_of).union(netlist.outputs,
+                                gates if keep is None else keep)
+    # Reads left per net; a plain dict, whose item access in the loop
+    # below is faster than a Counter's.
+    reads = dict(Counter(chain.from_iterable(gate.inputs
+                                             for gate in gates.values())))
+    dead = gates.keys() - reads.keys() - pinned
+    free, program, n_slots = [], [], len(slot_of)
+    for net, gate in order:
+        # The gate's slot is taken before its inputs free theirs: its
+        # later steps still read them, so none may share it.
+        if free:
+            dst = free.pop()
+        else:
+            dst, n_slots = n_slots, n_slots + 1
+        ins = []
+        for src in gate.inputs:
+            try:
+                slot = slot_of[src]
+            except KeyError:
+                return None
+            ins.append(slot)
+            left = reads[src] - 1
+            reads[src] = left
+            if not left and src not in pinned:  # its last read
+                free.append(slot)
+        first, last = _STEPS[gate.op]
+        acc = ins[0] if ins else 0
+        for src in ins[1:-1]:
+            program.append((first, dst, acc, src))
+            acc = dst
+        program.append((last, dst, acc, ins[-1] if len(ins) > 1 else 0))
+        slot_of[net] = dst
+        if dead and net in dead:
+            free.append(dst)
+    return program, slot_of, n_slots
+
+
+class CombSimulator:
+    """Single-pass evaluator over a fixed netlist.
+
+    Sources and primary outputs are always readable after a run; ``keep``
+    names the other nets the caller reads (``None``: every net).
+    """
+
+    def __init__(self, netlist, keep=None):
         netlist.validate()
         self.netlist = netlist
-        self._sources = list(netlist.inputs) + list(netlist.flops)
-        # Slot assignment: sources first, then gates in topo order.
-        slot_of = {net: slot for slot, net in enumerate(self._sources)}
-        program = []
-        for net in netlist.topo_order():
-            gate = netlist.gate(net)
-            in_slots = tuple(slot_of[src] for src in gate.inputs)
-            slot_of[net] = len(slot_of)
-            program.append((slot_of[net], _OPCODE[gate.op], in_slots))
+        self._sources = [*netlist.inputs, *netlist.flops]
+        self._program, slot_of, self._n_slots = _compile(netlist, keep)
+        if keep is not None:  # drop the stale entries of reused slots
+            try:
+                slot_of = {net: slot_of[net] for net in
+                           [*self._sources, *netlist.outputs, *keep]}
+            except KeyError as exc:
+                raise SimulationError(
+                    f"kept net {exc.args[0]!r} is not driven") from None
         self._slot_of = slot_of
-        self._program = program
-        self._n_slots = len(slot_of)
         self._source_slots = [slot_of[net] for net in self._sources]
         self._output_slots = [slot_of[net] for net in netlist.outputs]
 
@@ -67,107 +174,79 @@ class CombSimulator:
         """Nets that must be supplied: primary inputs then flop Qs."""
         return tuple(self._sources)
 
+    @property
+    def n_slots(self):
+        """Length of the value list (the program's live set)."""
+        return self._n_slots
+
     def slot(self, net):
-        """Value-list index of ``net`` for the slot-level API."""
+        """Value-list index of a source, output or kept ``net``."""
         try:
             return self._slot_of[net]
         except KeyError:
-            raise SimulationError(f"net {net!r} is not driven or sourced")
+            raise SimulationError(
+                f"net {net!r} is not a source, an output or a kept net")
 
     def make_slots(self):
         """Fresh value list sized for :meth:`evaluate_slots`."""
         return [0] * self._n_slots
 
     def evaluate_slots(self, slots, mask):
-        """Run the compiled program over bigint words in ``slots``.
+        """Run the compiled program over the words in ``slots``.
 
-        Source slots must already hold masked stimulus words; gate slots
-        are overwritten. Returns ``slots``.
+        ``mask`` is the all-ones value of the representation: the
+        ``n_patterns``-bit word for bigints, the all-ones ``uint64`` limb
+        array for numpy. Source slots must already hold their words (masked,
+        for bigints); the other slots are overwritten. Returns ``slots``.
         """
-        for slot, op, ins in self._program:
-            if op >= _AND:
-                if op < _OR:  # AND / NAND
-                    acc = mask
-                    for src in ins:
-                        acc &= slots[src]
-                    slots[slot] = acc if op == _AND else ~acc & mask
-                elif op < _XOR:  # OR / NOR
-                    acc = 0
-                    for src in ins:
-                        acc |= slots[src]
-                    slots[slot] = acc if op == _OR else ~acc & mask
-                else:  # XOR / XNOR
-                    acc = 0
-                    for src in ins:
-                        acc ^= slots[src]
-                    slots[slot] = acc if op == _XOR else ~acc & mask
-            elif op == _NOT:
-                slots[slot] = ~slots[ins[0]] & mask
-            elif op == _BUF:
-                slots[slot] = slots[ins[0]]
-            else:
-                slots[slot] = 0 if op == _CONST0 else mask
+        # Locals load faster than the module's globals in the loop.
+        AND, OR, NAND, NOR, NOT, XOR, BUF, XNOR, CONST0, _ = _OPCODES
+        for op, dst, a, b in self._program:
+            if op == AND:
+                slots[dst] = slots[a] & slots[b]
+            elif op == OR:
+                slots[dst] = slots[a] | slots[b]
+            elif op == NAND:
+                slots[dst] = slots[a] & slots[b] ^ mask
+            elif op == NOR:
+                slots[dst] = (slots[a] | slots[b]) ^ mask
+            elif op == NOT:
+                slots[dst] = slots[a] ^ mask
+            elif op == XOR:
+                slots[dst] = slots[a] ^ slots[b]
+            elif op == BUF:
+                slots[dst] = slots[a]
+            elif op == XNOR:
+                slots[dst] = slots[a] ^ slots[b] ^ mask
+            elif op == CONST0:
+                slots[dst] = mask ^ mask
+            else:  # CONST1
+                slots[dst] = mask
         return slots
 
-    def evaluate_slots_array(self, slots, ones):
-        """Run the compiled program over numpy ``uint64`` limb arrays.
-
-        ``ones`` is the all-ones limb array (CONST1 / complement mask).
-        Gate slots receive fresh arrays; ``~`` on ``uint64`` is the
-        bitwise complement, so no per-step masking is needed — bits
-        above the pattern count carry garbage that extraction masks off.
-        """
-        for slot, op, ins in self._program:
-            if op >= _AND:
-                if op < _OR:  # AND / NAND
-                    acc = slots[ins[0]]
-                    for src in ins[1:]:
-                        acc = acc & slots[src]
-                    slots[slot] = acc if op == _AND else ~acc
-                elif op < _XOR:  # OR / NOR
-                    acc = slots[ins[0]]
-                    for src in ins[1:]:
-                        acc = acc | slots[src]
-                    slots[slot] = acc if op == _OR else ~acc
-                else:  # XOR / XNOR
-                    acc = slots[ins[0]]
-                    for src in ins[1:]:
-                        acc = acc ^ slots[src]
-                    slots[slot] = acc if op == _XOR else ~acc
-            elif op == _NOT:
-                slots[slot] = ~slots[ins[0]]
-            elif op == _BUF:
-                slots[slot] = slots[ins[0]]
-            else:
-                slots[slot] = (ones ^ ones) if op == _CONST0 else ones
-        return slots
+    def _run(self, source_words, n_patterns):
+        mask = mask_for(n_patterns)
+        slots = self.make_slots()
+        for net, slot in zip(self._sources, self._source_slots):
+            try:
+                slots[slot] = source_words[net] & mask
+            except KeyError:
+                raise SimulationError(f"missing stimulus for source net {net!r}")
+        return self.evaluate_slots(slots, mask)
 
     def evaluate(self, source_words, n_patterns):
-        """Evaluate all gates; returns ``{net: word}`` for every driven net.
+        """Evaluate all gates; returns ``{net: word}`` for every readable
+        net (every driven net unless ``keep`` was given).
 
         ``source_words`` must assign a word to every primary input and flop
         Q net. Bits above ``n_patterns`` are ignored (masked).
         """
-        mask = mask_for(n_patterns)
-        slots = self.make_slots()
-        for net, slot in zip(self._sources, self._source_slots):
-            try:
-                slots[slot] = source_words[net] & mask
-            except KeyError:
-                raise SimulationError(f"missing stimulus for source net {net!r}")
-        self.evaluate_slots(slots, mask)
+        slots = self._run(source_words, n_patterns)
         return {net: slots[slot] for net, slot in self._slot_of.items()}
 
     def evaluate_outputs(self, source_words, n_patterns):
         """Words for the primary outputs only, in declaration order."""
-        mask = mask_for(n_patterns)
-        slots = self.make_slots()
-        for net, slot in zip(self._sources, self._source_slots):
-            try:
-                slots[slot] = source_words[net] & mask
-            except KeyError:
-                raise SimulationError(f"missing stimulus for source net {net!r}")
-        self.evaluate_slots(slots, mask)
+        slots = self._run(source_words, n_patterns)
         return [slots[slot] for slot in self._output_slots]
 
     def evaluate_pattern(self, assignment):

@@ -3,11 +3,28 @@
 The simulator applies one stimulus word-set per clock cycle, captures
 primary outputs combinationally in the same cycle, and advances all flops
 on the clock edge. Reset state comes from each flop's ``init`` field
-(all-zero for the circuits in this reproduction) unless overridden.
+(all-zero for the circuits in this reproduction) unless overridden; an
+overriding state is masked to ``n_patterns`` bits before a value
+representation is chosen, so both accept the same words.
 
-This is the stand-in for the paper's Synopsys VCS runs: identical
-two-valued semantics, with 800 random input/key samples packed into one
-pass for the functional-corruptibility experiments.
+A clock phase is one run of a :class:`~repro.sim.comb.CombSimulator`
+program, compiled once per netlist: gates in insertion order with any
+missing fan-in first, n−1 two-input word ops per n-input gate, and every
+complement taken as ``x ^ mask``. The simulator reads back only the
+primary outputs and the flop D nets, so those and the sources (primary
+inputs and flop Qs) are the only nets that own a slot; every other net's
+slot goes to a later gate after its last read. A cycle therefore walks a
+live set a fraction of the netlist's size (3,326 slots for the 22,944 nets
+of the Fig. 7 κs=4, κf=2 lock of the s38584 stand-in). At the clock edge
+every D is read before any Q is written, since a D may be another flop's
+Q.
+
+Words are bigints, or numpy ``uint64`` limb arrays from
+:data:`NUMPY_MIN_PATTERNS` patterns on when numpy is available; the same
+program runs on both. This is the stand-in for the paper's Synopsys VCS
+runs: identical two-valued semantics, with 800 random input/key samples
+per depth packed into one pass for the functional-corruptibility
+experiments.
 """
 
 from __future__ import annotations
@@ -36,13 +53,19 @@ class SequentialSimulator:
 
     def __init__(self, netlist):
         self.netlist = netlist
-        self._comb = CombSimulator(netlist)
         self._flops = list(netlist.flops.items())
+        self._comb = CombSimulator(
+            netlist, keep=[flop.d for _q, flop in self._flops])
         comb = self._comb
         self._input_slots = [(net, comb.slot(net)) for net in netlist.inputs]
         self._output_slots = [comb.slot(net) for net in netlist.outputs]
         self._flop_slots = [(comb.slot(q), comb.slot(flop.d))
                             for q, flop in self._flops]
+
+    @property
+    def n_slots(self):
+        """Values a run keeps live: the compiled program's slot count."""
+        return self._comb.n_slots
 
     def reset_state(self, n_patterns):
         """Initial ``{q: word}`` state from flop init values."""
@@ -58,20 +81,20 @@ class SequentialSimulator:
         dicts. Returns ``(outputs_per_cycle, final_state)`` where each
         outputs entry is the list of PO words for that cycle.
         """
-        state = dict(initial_state) if initial_state is not None \
-            else self.reset_state(n_patterns)
+        mask = mask_for(n_patterns)
+        state = self.reset_state(n_patterns) if initial_state is None else {
+            q: word & mask for q, word in initial_state.items()}
         if set(state) != set(self.netlist.flops):
             raise SimulationError("initial_state must cover exactly the flop Q nets")
 
         if have_numpy() and n_patterns >= NUMPY_MIN_PATTERNS:
             return self._run_array(input_words_per_cycle, n_patterns, state)
 
-        mask = mask_for(n_patterns)
         comb = self._comb
         slots = comb.make_slots()
         for (q, _flop), (q_slot, _d_slot) in zip(self._flops,
                                                  self._flop_slots):
-            slots[q_slot] = state[q] & mask
+            slots[q_slot] = state[q]
         outputs_per_cycle = []
         for cycle, input_words in enumerate(input_words_per_cycle):
             for net, slot in self._input_slots:
@@ -104,8 +127,9 @@ class SequentialSimulator:
         np = numpy_module()
         n_limbs = (n_patterns + 63) // 64
         ones = np.full(n_limbs, np.uint64(0xFFFFFFFFFFFFFFFF), dtype="<u8")
+        mask = mask_for(n_patterns)
         comb = self._comb
-        slots = [None] * len(comb.make_slots())
+        slots = comb.make_slots()
         for (q, _flop), (q_slot, _d_slot) in zip(self._flops,
                                                  self._flop_slots):
             slots[q_slot] = word_to_array(state[q], n_patterns)
@@ -118,9 +142,8 @@ class SequentialSimulator:
                     raise SimulationError(
                         f"cycle {cycle}: missing stimulus for input {net!r}"
                     )
-                slots[slot] = word_to_array(word & mask_for(n_patterns),
-                                            n_patterns)
-            comb.evaluate_slots_array(slots, ones)
+                slots[slot] = word_to_array(word & mask, n_patterns)
+            comb.evaluate_slots(slots, ones)
             outputs_per_cycle.append([
                 array_to_word(slots[slot], n_patterns)
                 for slot in self._output_slots

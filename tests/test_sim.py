@@ -1,12 +1,18 @@
 """Tests for bit-parallel simulation: packing, comb engine, sequential."""
 
+import importlib.util
+import random
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import repro.sim.seq as seq_module
 from repro.errors import SimulationError
 from repro.bench.iscas import load_embedded
+from repro.netlist import GateOp, Netlist
 from repro.sim import (
+    NUMPY_MIN_PATTERNS,
     CombSimulator,
     SequentialSimulator,
     bit_at,
@@ -17,6 +23,7 @@ from repro.sim import (
     pack_column,
     pack_patterns,
     popcount,
+    random_sequence_words,
     random_vectors,
     unpack_column,
     unpack_patterns,
@@ -26,11 +33,31 @@ from tests.util import (
     all_assignments,
     random_comb_netlist,
     random_seq_netlist,
+    reference_eval,
     reference_outputs,
     reference_sequential_run,
 )
 
 pytestmark = pytest.mark.smoke
+
+_HAVE_NUMPY = importlib.util.find_spec("numpy") is not None
+
+#: The two evaluator value representations, as a parametrize list.
+_PATHS = [
+    "bigint",
+    pytest.param("limbs", marks=pytest.mark.skipif(
+        not _HAVE_NUMPY, reason="numpy not installed")),
+]
+
+
+def _use_path(patch, path):
+    """Route every :class:`SequentialSimulator` run through ``path``:
+    bigint words, or numpy limb arrays at any width."""
+    if path == "bigint":
+        patch.setenv("REPRO_NO_NUMPY", "1")
+    else:
+        patch.delenv("REPRO_NO_NUMPY", raising=False)
+        patch.setattr(seq_module, "NUMPY_MIN_PATTERNS", 1)
 
 
 class TestBitvec:
@@ -165,3 +192,152 @@ class TestSequentialSimulator:
         sim = SequentialSimulator(netlist)
         with pytest.raises(SimulationError, match="missing stimulus"):
             sim.run([{}], 1)
+
+    @pytest.mark.parametrize("n_patterns", [64, NUMPY_MIN_PATTERNS])
+    def test_unmasked_initial_state_is_masked_on_every_path(
+            self, n_patterns, monkeypatch):
+        """A state word with bits at or above ``n_patterns`` (``-1``, or
+        bit ``n``) runs like its masked self on the bigint path and, at
+        ``NUMPY_MIN_PATTERNS``, on the limb path too."""
+        monkeypatch.delenv("REPRO_NO_NUMPY", raising=False)
+        netlist = load_embedded("s27")
+        sim = SequentialSimulator(netlist)
+        mask = mask_for(n_patterns)
+        stimulus = random_sequence_words(make_rng("s27-state"),
+                                         netlist.inputs, 3, n_patterns)
+        pattern = make_rng("s27-q").getrandbits(n_patterns)
+        for raw in (dict.fromkeys(netlist.flops, -1),
+                    dict.fromkeys(netlist.flops, pattern | 1 << n_patterns)):
+            masked = {q: word & mask for q, word in raw.items()}
+            assert (sim.run(stimulus, n_patterns, initial_state=raw)
+                    == sim.run(stimulus, n_patterns, initial_state=masked))
+
+
+# ----------------------------------------------------------------------
+# Differential: the compiled program against the naive evaluator
+# ----------------------------------------------------------------------
+_OPS = list(GateOp)
+_UNARY = {GateOp.NOT, GateOp.BUF}
+_CONSTS = {GateOp.CONST0, GateOp.CONST1}
+
+
+@st.composite
+def sequential_netlists(draw):
+    """Random sequential netlists over every compile case: n-ary AND/OR/
+    XOR families up to 6 inputs, repeated inputs, constants and BUF
+    chains; gates inserted before their fan-in and dead gates; outputs
+    on PIs, flop Qs, gates or repeated; flop Ds on PIs and other Qs."""
+    inputs = [f"pi{i}" for i in range(draw(st.integers(1, 3)))]
+    qs = [f"q{i}" for i in range(draw(st.integers(0, 3)))]
+    pool = inputs + qs
+    gates = []
+    for index in range(draw(st.integers(0, 12))):
+        op = draw(st.sampled_from(_OPS))
+        arity = (0 if op in _CONSTS else 1 if op in _UNARY
+                 else draw(st.integers(2, 6)))
+        srcs = draw(st.lists(st.sampled_from(pool), min_size=arity,
+                             max_size=arity))
+        gates.append((f"g{index}", op, srcs))
+        pool.append(f"g{index}")
+    netlist = Netlist("differential")
+    for net in inputs:
+        netlist.add_input(net)
+    for net, op, srcs in draw(st.permutations(gates)):  # insertion order
+        netlist.add_gate(net, op, srcs)
+    for q in qs:
+        netlist.add_flop(q, draw(st.sampled_from(pool)), draw(st.booleans()))
+    for net in draw(st.lists(st.sampled_from(pool), min_size=1,
+                             max_size=4)):
+        netlist.add_output(net)
+    return netlist.validate()
+
+
+def _every_case_netlist():
+    """One netlist that hits every compile case at once."""
+    netlist = Netlist("every_case")
+    a, b = netlist.add_input("a"), netlist.add_input("b")
+    netlist.add_gate("fwd", GateOp.NAND, ["late", "a", "q0"])  # forward ref
+    netlist.add_gate("late", GateOp.XNOR, ["a", "b", "q1", "a", "b", "q0"])
+    netlist.add_gate("twice", GateOp.AND, [a, a])
+    netlist.add_gate("zero", GateOp.CONST0)
+    netlist.add_gate("one", GateOp.CONST1)
+    netlist.add_gate("buf1", GateOp.BUF, ["fwd"])
+    netlist.add_gate("buf2", GateOp.BUF, ["buf1"])
+    netlist.add_gate("nor", GateOp.NOR, ["buf2", "zero", "twice", "one"])
+    netlist.add_gate("dead", GateOp.OR, ["nor", "b"])
+    netlist.add_gate("xor", GateOp.XOR, ["nor", "q2", "late"])
+    netlist.add_flop("q0", "xor")
+    netlist.add_flop("q1", "b", init=True)  # D on a PI
+    netlist.add_flop("q2", "q0")            # D on another Q
+    for net in ("a", "q1", "nor", "xor", "nor", "buf2"):
+        netlist.add_output(net)
+    return netlist.validate()
+
+
+def _reference_words(netlist, width, rng, n_cycles=3):
+    """``(stimulus, outputs, final_state)`` of a ``width``-pattern run,
+    the expectations from :func:`reference_sequential_run`.
+
+    A few random traces are spread over the ``width`` bit positions (the
+    first positions take one trace each), so the naive evaluator runs
+    once per trace, not once per bit.
+    """
+    n_traces = min(width, 4)
+    owner = list(range(n_traces)) + [rng.randrange(n_traces)
+                                     for _ in range(width - n_traces)]
+    bits = [0] * n_traces
+    for position, trace in enumerate(owner):
+        bits[trace] |= 1 << position
+
+    def pack(rows, column):
+        word = 0
+        for trace, row in enumerate(rows):
+            if row[column]:
+                word |= bits[trace]
+        return word
+
+    traces = [random_vectors(rng, len(netlist.inputs), n_cycles)
+              for _ in range(n_traces)]
+    stimulus = [{net: pack([trace[cycle] for trace in traces], column)
+                 for column, net in enumerate(netlist.inputs)}
+                for cycle in range(n_cycles)]
+    # The final state is what the flop Qs show one cycle later.
+    probe = netlist.copy()
+    for q in netlist.flops:
+        probe.add_output(q)
+    runs = [reference_sequential_run(probe, trace + trace[-1:])
+            for trace in traces]
+    n_out = len(netlist.outputs)
+    outputs = [[pack([run[cycle] for run in runs], column)
+                for column in range(n_out)]
+               for cycle in range(n_cycles)]
+    state = {q: pack([run[n_cycles] for run in runs], n_out + column)
+             for column, q in enumerate(netlist.flops)}
+    return stimulus, outputs, state
+
+
+class TestCompiledProgramDifferential:
+    @pytest.mark.parametrize("path", _PATHS)
+    @settings(max_examples=60, deadline=None)
+    @given(netlist=sequential_netlists(), seed=st.integers(0, 2**32 - 1))
+    @example(netlist=_every_case_netlist(), seed=0)
+    def test_sequential_run_matches_reference(self, path, netlist, seed):
+        rng = random.Random(seed)
+        with pytest.MonkeyPatch.context() as patch:
+            _use_path(patch, path)
+            sim = SequentialSimulator(netlist)
+            for width in (1, 64, 65, 4800):
+                stimulus, outputs, state = _reference_words(netlist, width,
+                                                            rng)
+                assert sim.run(stimulus, width) == (outputs, state)
+
+    @settings(max_examples=60, deadline=None)
+    @given(netlist=sequential_netlists(), seed=st.integers(0, 2**32 - 1))
+    @example(netlist=_every_case_netlist(), seed=0)
+    def test_evaluate_returns_every_net(self, netlist, seed):
+        rng = random.Random(seed)
+        assignment = {net: rng.random() < 0.5
+                      for net in (*netlist.inputs, *netlist.flops)}
+        values = CombSimulator(netlist).evaluate_pattern(assignment)
+        assert values == reference_eval(netlist, assignment)
+        assert set(values) == set(netlist.nets())
