@@ -72,9 +72,10 @@ bench:
 	$(PY) -m pytest benchmarks -q
 
 # Attack hot-path microbench: arena CDCL conflicts/sec on PHP(8,7),
-# vectorized fig3/fig7 sweeps vs per-vector loops, the Fig. 7 cell's
-# simulation program (slots, compile ms, ns/gate/cycle), end-to-end
-# comb_sat phases. Writes benchmarks/artifacts/BENCH_solver.json.
+# word-packed fig3 error tables and fig7 FC vs per-pair and per-vector
+# loops, the Fig. 7 cell's simulation program (slots, compile ms,
+# ns/gate/cycle), end-to-end comb_sat phases. Writes
+# benchmarks/artifacts/BENCH_solver.json.
 bench-solver:
 	$(PY) -m pytest benchmarks/bench_solver.py -q
 

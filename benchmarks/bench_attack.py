@@ -153,28 +153,18 @@ def test_comb_sat_pin_heavy_phase_row(artifact_sink, bench_json_merge):
         f"{result.solver_stats.get('vars')} solver variables\n")
 
 
-def test_fallback_no_numpy_identical(bench_json_merge, monkeypatch):
-    """The pure-Python bigint fallback must produce the identical attack
-    (same key, DIP walk, oracle accounting) — recorded so CI's
-    numpy-less job has a machine-readable pass."""
+def test_seq_sat_short_check_accounting(bench_json_merge):
+    """The oracle-dominated cell with 64 black-box check rounds: the
+    check is still one batched call, so the counts stay exact."""
     locked = _oracle_dominated_cell()
-    _, with_numpy = _run_seq(locked, check_rounds=64)
-    monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-    wall, fallback = _run_seq(locked, check_rounds=64)
-    monkeypatch.delenv("REPRO_NO_NUMPY")
-
-    assert fallback.key == with_numpy.key
-    assert fallback.dips_per_depth == with_numpy.dips_per_depth
+    wall, result = _run_seq(locked, check_rounds=64)
     # 64 DIPs in 4 calls, then 64 check rounds in one: 5 calls, 128
-    # patterns on either path.
-    for result in (with_numpy, fallback):
-        assert result.n_dips == 64
-        assert (result.oracle_calls, result.oracle_queries) == (5, 128)
+    # patterns.
+    assert result.n_dips == 64
+    assert (result.oracle_calls, result.oracle_queries) == (5, 128)
     bench_json_merge("attack", {
-        "no_numpy_fallback": {
-            "instance": "oracle-dominated cell, check_rounds=64, "
-                        "REPRO_NO_NUMPY=1",
-            "identical_to_numpy_path": True,
+        "seq_sat_check_rounds_64": {
+            "instance": "oracle-dominated cell, check_rounds=64",
             "wall_seconds": wall,
         },
     })

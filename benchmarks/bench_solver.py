@@ -1,5 +1,5 @@
 """Attack hot-path benchmarks: the arena CDCL core's conflict rate,
-vectorized sweeps vs the per-vector loops, and the end-to-end
+word-packed sweeps vs the per-vector loops, and the end-to-end
 ``comb_sat`` attack with its phase breakdown.
 
 Acceptance bars:
@@ -7,7 +7,8 @@ Acceptance bars:
 * the arena core answers PHP(8,7) UNSAT (its conflicts/sec and
   propagations/sec are recorded; the pre-arena core it was once raced
   against is a recorded row in the README's "Making it fast" section);
-* vectorized fig3/fig7 sweeps >= 3x the per-vector loop;
+* the fig3 error table's closed-form stimulus >= 3x the per-pair loops,
+  and packed fig7 FC >= 3x the per-vector loop;
 * a Fig. 7 cell's depth windows in one packed run >= 2x one run per
   depth;
 * the Fig. 7 κs=4, κf=2 cell's two s38584 programs each hold at most a
@@ -27,8 +28,6 @@ human-readable.
 import shlex
 import time
 from statistics import mean
-
-import pytest
 
 from repro.api import SCHEMES, load_circuit
 from repro.attacks import (
@@ -51,13 +50,13 @@ from repro.sim import (
     CombSimulator,
     SequentialSimulator,
     derive_seed,
-    have_numpy,
     make_rng,
     mask_for,
 )
 from repro.sim.random_vectors import random_input_words, random_sequence_words
 
 from conftest import run_once
+from tests.test_error_tables import per_pair_error_table
 
 #: Interleaved timing repetitions (min-of-N kills one-off timer noise).
 _REPEATS = 3
@@ -161,7 +160,7 @@ def test_native_backend_on_structured_instance(artifact_sink,
 
 
 # ----------------------------------------------------------------------
-# Vectorized sweeps vs the per-vector loops
+# Word-packed sweeps vs the per-vector loops
 # ----------------------------------------------------------------------
 def _fig3_locked(kappa_s):
     host = generate_circuit("fig3_host", n_inputs=2, n_outputs=2,
@@ -170,21 +169,17 @@ def _fig3_locked(kappa_s):
         host, seed=2, kappa_s=kappa_s, kappa_f=1, alpha=0.6)
 
 
-def test_fig3_sweep_vectorized(artifact_sink, bench_json_merge,
-                               monkeypatch):
-    """Exhaustive error table (fig3 cell shape, one size up): numpy-
-    vectorized stimulus packing / expansion / row extraction vs the
-    seed per-pair loops.  Bar: >= 3x, identical tables."""
-    if not have_numpy():
-        pytest.skip("numpy unavailable; vectorized sweep has no fast path")
+def test_fig3_sweep_vectorized(artifact_sink, bench_json_merge):
+    """Exhaustive error table (fig3 cell shape, one size up): the
+    closed-form stimulus and one-string row read vs the per-pair packing,
+    oracle expansion and per-bit row loops.  Bar: >= 3x, identical
+    tables."""
     locked = _fig3_locked(kappa_s=3)
     depth = 3  # 2^12 (input, key) pairs
 
-    monkeypatch.setenv("REPRO_NO_NUMPY", "1")
     start = time.process_time()
-    slow_table = measured_error_table(locked, depth)
+    slow_table = per_pair_error_table(locked, depth)
     slow_seconds = time.process_time() - start
-    monkeypatch.delenv("REPRO_NO_NUMPY")
 
     fast_seconds = float("inf")
     for _ in range(_REPEATS):
@@ -198,8 +193,8 @@ def test_fig3_sweep_vectorized(artifact_sink, bench_json_merge,
     bench_json_merge("solver", {
         "fig3_sweep": {
             "instance": "fig3 host, ks=3, depth=3 (2^12 pairs)",
-            "per_vector_seconds": slow_seconds,
-            "vectorized_seconds": fast_seconds,
+            "per_pair_seconds": slow_seconds,
+            "closed_form_seconds": fast_seconds,
             "speedup": speedup,
         },
     })
@@ -207,7 +202,7 @@ def test_fig3_sweep_vectorized(artifact_sink, bench_json_merge,
         "solver_fig3_sweep",
         "fig3 exhaustive table, ks=3 depth=3 (2^12 pairs)\n"
         f"per-pair loops: {slow_seconds * 1000:.1f}ms\n"
-        f"vectorized:     {fast_seconds * 1000:.1f}ms\n"
+        f"closed form:    {fast_seconds * 1000:.1f}ms\n"
         f"speedup: {speedup:.1f}x (tables identical)\n")
 
 

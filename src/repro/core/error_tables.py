@@ -8,6 +8,11 @@ Two producers share one table type:
 
 Their equality on small instances is the central correctness check that
 the hardware implements ``E^SF`` exactly.
+
+The measured table is one word-parallel run per netlist over every
+(input, key) pair. Pattern ``j = i·n_keys + k`` holds input sequence
+``i`` and key sequence ``k``, so every stimulus word is a single bit of
+``j`` across all patterns: a square wave built by doubling.
 """
 
 from __future__ import annotations
@@ -16,12 +21,6 @@ from dataclasses import dataclass
 
 from repro.core.error_function import e_n
 from repro.errors import LockingError
-from repro.sim.bitvec import (
-    bits_array_to_word,
-    have_numpy,
-    numpy_module,
-    word_to_bits_array,
-)
 from repro.sim.seq import SequentialSimulator
 
 #: Hard cap on exhaustive enumeration: 2^(κ+b)|I| simulated pairs.
@@ -75,6 +74,8 @@ class ErrorTable:
 
 
 def _check_size(width, kappa, depth):
+    if depth < 1:
+        raise LockingError(f"error table depth must be >= 1, got {depth}")
     bits = (kappa + depth) * width
     if bits > _MAX_TABLE_BITS:
         raise LockingError(
@@ -112,142 +113,69 @@ def naive_error_table(kappa, width, key_star, depth):
     return ErrorTable(width, kappa, depth, rows)
 
 
-def _pair_words_python(inputs, width, cycle, kappa, depth, n_pairs, n_keys):
-    """Seed per-pair packing loop (reference / numpy-less fallback)."""
-    words = {net: 0 for net in inputs}
-    for pair in range(n_pairs):
-        i_value, k_value = divmod(pair, n_keys)
-        if cycle < kappa:
-            word = (k_value >> ((kappa - 1 - cycle) * width))
-        else:
-            word = (i_value >> ((depth - 1 - (cycle - kappa)) * width))
-        word &= (1 << width) - 1
-        bit = 1 << pair
-        for position, net in enumerate(inputs):
-            if (word >> (width - 1 - position)) & 1:
-                words[net] |= bit
-    return words
+def _bit_word(bit, n_pairs):
+    """Word whose pattern ``j`` is bit ``bit`` of ``j``, for ``j`` below
+    ``n_pairs`` (a power of two, at least ``2^(bit+1)``): ``2^bit``
+    zeros, then ``2^bit`` ones, repeated."""
+    run = 1 << bit
+    word = ((1 << run) - 1) << run
+    period = run << 1
+    while period < n_pairs:
+        word |= word << period
+        period <<= 1
+    return word
 
 
-def _pair_words_numpy(inputs, width, cycle, kappa, depth, n_pairs, n_keys):
-    """Vectorized :func:`_pair_words_python`: one packbits per input."""
-    np = numpy_module()
-    pair = np.arange(n_pairs, dtype=np.uint64)
-    if cycle < kappa:
-        values = pair % np.uint64(n_keys)  # k_value
-        shift = (kappa - 1 - cycle) * width
-    else:
-        values = pair // np.uint64(n_keys)  # i_value
-        shift = (depth - 1 - (cycle - kappa)) * width
-    values = values >> np.uint64(shift)
-    return {
-        net: bits_array_to_word(
-            (values >> np.uint64(width - 1 - position)) & np.uint64(1))
-        for position, net in enumerate(inputs)
-    }
+def _pair_words(inputs, width, kappa, depth):
+    """Per-cycle ``{input: word}`` over all ``2^{(κ+b)|I|}`` pairs.
 
-
-def _input_words_python(inputs, width, cycle, depth, n_inputs):
-    """Seed per-input packing loop for the oracle run."""
-    words = {net: 0 for net in inputs}
-    for i_value in range(n_inputs):
-        word = (i_value >> ((depth - 1 - cycle) * width)) & ((1 << width) - 1)
-        bit = 1 << i_value
-        for position, net in enumerate(inputs):
-            if (word >> (width - 1 - position)) & 1:
-                words[net] |= bit
-    return words
-
-
-def _input_words_numpy(inputs, width, cycle, depth, n_inputs):
-    np = numpy_module()
-    values = np.arange(n_inputs, dtype=np.uint64) \
-        >> np.uint64((depth - 1 - cycle) * width)
-    return {
-        net: bits_array_to_word(
-            (values >> np.uint64(width - 1 - position)) & np.uint64(1))
-        for position, net in enumerate(inputs)
-    }
-
-
-def _expand_python(word, n_inputs, n_keys):
-    """Expand an input-space word to pair-space (key minor index)."""
-    expanded = 0
-    for i_value in range(n_inputs):
-        if (word >> i_value) & 1:
-            expanded |= ((1 << n_keys) - 1) << (i_value * n_keys)
-    return expanded
-
-
-def _expand_numpy(word, n_inputs, n_keys):
-    np = numpy_module()
-    bits = word_to_bits_array(word, n_inputs)
-    return bits_array_to_word(np.repeat(bits, n_keys))
-
-
-def _rows_python(mismatch, n_inputs, n_keys):
-    return [
-        [bool((mismatch >> (i_value * n_keys + k_value)) & 1)
-         for k_value in range(n_keys)]
-        for i_value in range(n_inputs)
-    ]
-
-
-def _rows_numpy(mismatch, n_inputs, n_keys):
-    bits = word_to_bits_array(mismatch, n_inputs * n_keys)
-    return bits.reshape(n_inputs, n_keys).astype(bool).tolist()
+    Pattern ``j = i·n_keys + k`` is ``k`` in its low ``κ|I|`` bits and
+    ``i`` above them, each MSB-first by cycle: key cycle ``c < κ`` reads
+    ``|I|``-bit block ``κ−1−c`` of ``j``, input cycle ``c ≥ κ`` block
+    ``2κ+b−1−c``, and input ``p`` of a cycle bit ``|I|−1−p`` of its
+    block.
+    """
+    n_pairs = 1 << ((kappa + depth) * width)
+    words_per_cycle = []
+    for cycle in range(kappa + depth):
+        block = (kappa - 1 - cycle if cycle < kappa
+                 else 2 * kappa + depth - 1 - cycle)
+        words_per_cycle.append({
+            net: _bit_word(block * width + width - 1 - position, n_pairs)
+            for position, net in enumerate(inputs)})
+    return words_per_cycle
 
 
 def measured_error_table(locked, depth):
     """Exhaustive gate-level table of a :class:`LockedCircuit`.
 
     All ``2^{(κ+b)|I|}`` (input, key) pairs are packed into one
-    bit-parallel sequential run of the locked netlist; the oracle runs
-    once over the ``2^{b|I|}`` input sequences.
-
-    Stimulus packing, oracle-word expansion, and row extraction run
-    vectorized (numpy) when available; the seed per-pair loops are kept
-    as the fallback and differential reference (``REPRO_NO_NUMPY=1``
-    forces them).
+    bit-parallel sequential run of the locked netlist. The oracle runs
+    on the same words without the ``κ`` key cycles, so its pattern ``j``
+    answers input sequence ``i`` in the same bit as the locked run, and
+    the rows are the bits of the mismatch word.
     """
     spec = locked.spec
     width = spec.width
     kappa = spec.kappa
     _check_size(width, kappa, depth)
-    n_inputs = 1 << (depth * width)
     n_keys = 1 << (kappa * width)
-    n_pairs = n_inputs * n_keys  # pattern index = i * n_keys + k
+    n_pairs = n_keys << (depth * width)
 
-    fast = have_numpy()
-    pair_words = _pair_words_numpy if fast else _pair_words_python
-    input_words = _input_words_numpy if fast else _input_words_python
-    expand = _expand_numpy if fast else _expand_python
-    extract_rows = _rows_numpy if fast else _rows_python
+    words_per_cycle = _pair_words(locked.netlist.inputs, width, kappa, depth)
+    locked_outputs, _ = SequentialSimulator(locked.netlist).run(
+        words_per_cycle, n_pairs)
+    oracle_outputs, _ = SequentialSimulator(locked.original).run(
+        words_per_cycle[kappa:], n_pairs)
 
-    # Locked run: per cycle, per input port, one packed word.
-    locked_sim = SequentialSimulator(locked.netlist)
-    inputs = locked.netlist.inputs
-    words_per_cycle = [
-        pair_words(inputs, width, cycle, kappa, depth, n_pairs, n_keys)
-        for cycle in range(kappa + depth)
-    ]
-    locked_outputs, _ = locked_sim.run(words_per_cycle, n_pairs)
-
-    # Oracle run over plain input sequences.
-    oracle_sim = SequentialSimulator(locked.original)
-    oracle_words_per_cycle = [
-        input_words(inputs, width, cycle, depth, n_inputs)
-        for cycle in range(depth)
-    ]
-    oracle_outputs, _ = oracle_sim.run(oracle_words_per_cycle, n_inputs)
-
-    # Expand oracle words from input-space to pair-space (key minor).
     mismatch = 0
-    for cycle in range(depth):
-        locked_cycle = locked_outputs[kappa + cycle]
-        oracle_cycle = oracle_outputs[cycle]
+    for locked_cycle, oracle_cycle in zip(locked_outputs[kappa:],
+                                          oracle_outputs):
         for locked_word, oracle_word in zip(locked_cycle, oracle_cycle):
-            mismatch |= locked_word ^ expand(oracle_word, n_inputs, n_keys)
+            mismatch |= locked_word ^ oracle_word
 
-    rows = extract_rows(mismatch, n_inputs, n_keys)
+    # Bit j of the word is the string's character n_pairs−1−j.
+    bits = list(map("1".__eq__, f"{mismatch:0{n_pairs}b}"[::-1]))
+    rows = [bits[start:start + n_keys]
+            for start in range(0, n_pairs, n_keys)]
     return ErrorTable(width, kappa, depth, rows)

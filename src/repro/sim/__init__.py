@@ -2,9 +2,7 @@
 
 from repro.sim.bitvec import (
     bit_at,
-    bits_array_to_word,
     bits_to_int,
-    have_numpy,
     int_to_bits,
     mask_for,
     pack_column,
@@ -12,8 +10,6 @@ from repro.sim.bitvec import (
     popcount,
     unpack_column,
     unpack_patterns,
-    word_to_array,
-    word_to_bits_array,
 )
 from repro.sim.comb import CombSimulator
 from repro.sim.random_vectors import (
@@ -25,17 +21,14 @@ from repro.sim.random_vectors import (
     random_vectors,
     random_word,
 )
-from repro.sim.seq import NUMPY_MIN_PATTERNS, SequentialSimulator
+from repro.sim.seq import SequentialSimulator
 
 __all__ = [
     "CombSimulator",
-    "NUMPY_MIN_PATTERNS",
     "SequentialSimulator",
     "bit_at",
-    "bits_array_to_word",
     "bits_to_int",
     "derive_seed",
-    "have_numpy",
     "int_to_bits",
     "make_rng",
     "mask_for",
@@ -49,6 +42,4 @@ __all__ = [
     "random_word",
     "unpack_column",
     "unpack_patterns",
-    "word_to_array",
-    "word_to_bits_array",
 ]

@@ -1,78 +1,16 @@
 """Bit-parallel pattern packing.
 
 The simulator evaluates many stimulus patterns at once by packing one bit
-per pattern into a single Python integer per net ("word"). Python's
-arbitrary-precision integers make this both simple and fast: one ``&`` over
-an 800-bit word applies an AND gate to 800 patterns simultaneously, which
-is how the paper-scale 800-vector functional-corruptibility simulations
-stay cheap in pure Python.
+per pattern into a single Python integer per net ("word"): pattern ``j``
+is bit ``j``. CPython runs ``&``, ``|`` and ``^`` on these integers in C,
+so one gate op applies to every pattern in the word, whatever its width:
+800 samples per depth window for the functional-corruptibility estimate,
+or all 2^20 (input, key) pairs of the widest exhaustive error table.
 """
 
 from __future__ import annotations
 
-import os
-
 from repro.errors import SimulationError
-
-try:  # Optional fast path; every consumer keeps a pure-Python fallback.
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy-less host
-    _np = None
-
-
-def have_numpy():
-    """True when the numpy fast path may be used.
-
-    Checked per call (not at import) so ``REPRO_NO_NUMPY=1`` can force
-    the pure-Python path at runtime — that is how the differential
-    tests and the numpy-less CI guard exercise both implementations in
-    one process.
-    """
-    return _np is not None and not os.environ.get("REPRO_NO_NUMPY")
-
-
-def numpy_module():
-    """The numpy module, or raise if the fast path is off."""
-    if not have_numpy():
-        raise SimulationError(
-            "numpy fast path unavailable (not installed, or disabled "
-            "via REPRO_NO_NUMPY)")
-    return _np
-
-
-def word_to_array(word, n_patterns):
-    """Packed bigint -> little-endian ``uint64`` limb array.
-
-    Bit ``j`` of the word lands in bit ``j % 64`` of limb ``j // 64``,
-    so bitwise numpy ops on limb arrays are bit-for-bit equivalent to
-    bigint ops on the words.
-    """
-    np = numpy_module()
-    n_limbs = (n_patterns + 63) // 64
-    raw = word.to_bytes(n_limbs * 8, "little")
-    return np.frombuffer(raw, dtype="<u8").copy()
-
-
-def array_to_word(limbs, n_patterns):
-    """Inverse of :func:`word_to_array`; masks bits above ``n_patterns``."""
-    word = int.from_bytes(limbs.astype("<u8").tobytes(), "little")
-    return word & mask_for(n_patterns)
-
-
-def word_to_bits_array(word, n_patterns):
-    """Packed bigint -> ``uint8`` 0/1 array of length ``n_patterns``."""
-    np = numpy_module()
-    n_bytes = (n_patterns + 7) // 8
-    raw = np.frombuffer(word.to_bytes(n_bytes, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, bitorder="little", count=n_patterns)
-
-
-def bits_array_to_word(bits):
-    """0/1 (or bool) array -> packed bigint with element ``j`` in bit ``j``."""
-    np = numpy_module()
-    packed = np.packbits(np.asarray(bits, dtype=np.uint8),
-                         bitorder="little")
-    return int.from_bytes(packed.tobytes(), "little")
 
 
 def mask_for(n_patterns):

@@ -30,18 +30,8 @@ clock phase of the sequential simulator.
   ``~x & mask`` detours through a negative bigint and costs about five
   times as much on a 4,800-bit word.
 
-One evaluator, :meth:`CombSimulator.evaluate_slots`, runs the program over
-either value representation, since both support ``&``, ``|`` and ``^``:
-
-* **bigint words** — one arbitrary-precision int per slot, bit ``j`` =
-  pattern ``j``, with ``mask`` the all-ones word;
-* **numpy limb arrays** — one little-endian ``uint64`` array per slot,
-  used by the sequential simulator for wide sweeps, with ``mask`` the
-  all-ones limb array. Bits above ``n_patterns`` then carry garbage that
-  extraction masks off (:func:`repro.sim.bitvec.array_to_word`).
-
-Bitwise ops never mix bit positions, so the two agree bit-for-bit on the
-low ``n_patterns`` bits.
+Every value is a Python int word (:mod:`repro.sim.bitvec`): bit ``j`` is
+pattern ``j``, and ``mask`` is the all-ones word of the run's width.
 """
 
 from __future__ import annotations
@@ -194,10 +184,9 @@ class CombSimulator:
     def evaluate_slots(self, slots, mask):
         """Run the compiled program over the words in ``slots``.
 
-        ``mask`` is the all-ones value of the representation: the
-        ``n_patterns``-bit word for bigints, the all-ones ``uint64`` limb
-        array for numpy. Source slots must already hold their words (masked,
-        for bigints); the other slots are overwritten. Returns ``slots``.
+        ``mask`` is the all-ones ``n_patterns``-bit word. Source slots
+        must already hold their words, masked; the other slots are
+        overwritten. Returns ``slots``.
         """
         # Locals load faster than the module's globals in the loop.
         AND, OR, NAND, NOR, NOT, XOR, BUF, XNOR, CONST0, _ = _OPCODES
@@ -219,7 +208,7 @@ class CombSimulator:
             elif op == XNOR:
                 slots[dst] = slots[a] ^ slots[b] ^ mask
             elif op == CONST0:
-                slots[dst] = mask ^ mask
+                slots[dst] = 0
             else:  # CONST1
                 slots[dst] = mask
         return slots

@@ -4,8 +4,7 @@ The simulator applies one stimulus word-set per clock cycle, captures
 primary outputs combinationally in the same cycle, and advances all flops
 on the clock edge. Reset state comes from each flop's ``init`` field
 (all-zero for the circuits in this reproduction) unless overridden; an
-overriding state is masked to ``n_patterns`` bits before a value
-representation is chosen, so both accept the same words.
+overriding state is masked to ``n_patterns`` bits, like the stimulus.
 
 A clock phase is one run of a :class:`~repro.sim.comb.CombSimulator`
 program, compiled once per netlist: gates in insertion order with any
@@ -19,33 +18,18 @@ of the Fig. 7 κs=4, κf=2 lock of the s38584 stand-in). At the clock edge
 every D is read before any Q is written, since a D may be another flop's
 Q.
 
-Words are bigints, or numpy ``uint64`` limb arrays from
-:data:`NUMPY_MIN_PATTERNS` patterns on when numpy is available; the same
-program runs on both. This is the stand-in for the paper's Synopsys VCS
-runs: identical two-valued semantics, with 800 random input/key samples
-per depth packed into one pass for the functional-corruptibility
-experiments.
+Every word is a Python int (:mod:`repro.sim.bitvec`), from one pattern
+to the 2^20 of the widest exhaustive error table. This is the stand-in
+for the paper's Synopsys VCS runs: identical two-valued semantics, with
+800 random input/key samples per depth packed into one pass for the
+functional-corruptibility experiments.
 """
 
 from __future__ import annotations
 
 from repro.errors import SimulationError
-from repro.sim.bitvec import (
-    array_to_word,
-    have_numpy,
-    mask_for,
-    numpy_module,
-    pack_patterns,
-    unpack_patterns,
-    word_to_array,
-)
+from repro.sim.bitvec import mask_for, pack_patterns, unpack_patterns
 from repro.sim.comb import CombSimulator
-
-#: Pattern count past which the numpy limb-array path engages. CPython
-#: bigints do bitwise ops in C over 30-bit digits, so the crossover is
-#: late: below this the per-gate ndarray overhead is a net loss, above
-#: it the limb arrays pull ahead on the widest exhaustive sweeps.
-NUMPY_MIN_PATTERNS = 1 << 16
 
 
 class SequentialSimulator:
@@ -87,9 +71,6 @@ class SequentialSimulator:
         if set(state) != set(self.netlist.flops):
             raise SimulationError("initial_state must cover exactly the flop Q nets")
 
-        if have_numpy() and n_patterns >= NUMPY_MIN_PATTERNS:
-            return self._run_array(input_words_per_cycle, n_patterns, state)
-
         comb = self._comb
         slots = comb.make_slots()
         for (q, _flop), (q_slot, _d_slot) in zip(self._flops,
@@ -116,45 +97,6 @@ class SequentialSimulator:
         state = {q: slots[q_slot] for (q, _flop), (q_slot, _d)
                  in zip(self._flops, self._flop_slots)}
         return outputs_per_cycle, state
-
-    def _run_array(self, input_words_per_cycle, n_patterns, state):
-        """Wide-sweep fast path: whole run on numpy ``uint64`` limbs.
-
-        Word <-> limb conversion happens only at the boundary (stimulus
-        in, captured outputs and final state out); flop state stays in
-        limb form across cycles. Bit-for-bit equal to the bigint path.
-        """
-        np = numpy_module()
-        n_limbs = (n_patterns + 63) // 64
-        ones = np.full(n_limbs, np.uint64(0xFFFFFFFFFFFFFFFF), dtype="<u8")
-        mask = mask_for(n_patterns)
-        comb = self._comb
-        slots = comb.make_slots()
-        for (q, _flop), (q_slot, _d_slot) in zip(self._flops,
-                                                 self._flop_slots):
-            slots[q_slot] = word_to_array(state[q], n_patterns)
-        outputs_per_cycle = []
-        for cycle, input_words in enumerate(input_words_per_cycle):
-            for net, slot in self._input_slots:
-                try:
-                    word = input_words[net]
-                except KeyError:
-                    raise SimulationError(
-                        f"cycle {cycle}: missing stimulus for input {net!r}"
-                    )
-                slots[slot] = word_to_array(word & mask, n_patterns)
-            comb.evaluate_slots(slots, ones)
-            outputs_per_cycle.append([
-                array_to_word(slots[slot], n_patterns)
-                for slot in self._output_slots
-            ])
-            captured = [slots[d_slot] for _q, d_slot in self._flop_slots]
-            for (q_slot, _d), value in zip(self._flop_slots, captured):
-                slots[q_slot] = value
-        final = {q: array_to_word(slots[q_slot], n_patterns)
-                 for (q, _flop), (q_slot, _d)
-                 in zip(self._flops, self._flop_slots)}
-        return outputs_per_cycle, final
 
     def run_vectors(self, vectors, initial_state=None):
         """Single-pattern convenience API.

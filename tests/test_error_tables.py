@@ -1,8 +1,13 @@
 """Tests for error tables: spec-level construction and, crucially, the
 exact equality between the gate-level locked circuit and ``E^SF``."""
 
-import pytest
+import functools
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.api import SCHEMES
 from repro.core import (
     ErrorSpec,
     TriLockConfig,
@@ -11,9 +16,12 @@ from repro.core import (
     naive_error_table,
     spec_error_table,
 )
+from repro.core.error_tables import ErrorTable
 from repro.errors import LockingError
+from repro.metrics import exhaustive_fc
+from repro.sim import SequentialSimulator
 
-from tests.conftest import locked_factory
+from tests.conftest import _tiny_circuit, locked_factory
 
 
 def small_spec(**overrides):
@@ -55,6 +63,27 @@ class TestSpecTables:
     def test_size_guard(self):
         with pytest.raises(LockingError):
             spec_error_table(small_spec(width=8), depth=2)
+
+
+#: Every table producer, as ``(locked, depth) -> value``.
+_PRODUCERS = {
+    "spec": lambda locked, depth: spec_error_table(locked.spec, depth),
+    "naive": lambda locked, depth: naive_error_table(
+        kappa=2, width=2, key_star=0b0110, depth=depth),
+    "measured": measured_error_table,
+    "exhaustive_fc": exhaustive_fc,
+}
+
+
+@pytest.mark.parametrize("depth", [0, -1])
+@pytest.mark.parametrize("producer", sorted(_PRODUCERS))
+def test_depth_below_one_raises_typed_error(producer, depth):
+    """Depth 0 used to give an all-False measured table (FC 0.0), and
+    depth -1 an untyped ``ValueError: negative shift count``."""
+    locked = locked_factory(kappa_s=2, kappa_f=1, alpha=0.6, seed=3)
+    with pytest.raises(LockingError,
+                       match=f"depth must be >= 1, got {depth}"):
+        _PRODUCERS[producer](locked, depth)
 
 
 class TestMeasuredEqualsSpec:
@@ -99,3 +128,116 @@ class TestMeasuredEqualsSpec:
             for spec_cell, measured_cell in zip(spec_row, measured_row):
                 if measured_cell:
                     assert spec_cell
+
+
+# ----------------------------------------------------------------------
+# The closed-form stimulus against the per-pair loops it replaced
+# ----------------------------------------------------------------------
+def _pair_words_python(inputs, width, cycle, kappa, depth, n_pairs, n_keys):
+    words = {net: 0 for net in inputs}
+    for pair in range(n_pairs):
+        i_value, k_value = divmod(pair, n_keys)
+        if cycle < kappa:
+            word = (k_value >> ((kappa - 1 - cycle) * width))
+        else:
+            word = (i_value >> ((depth - 1 - (cycle - kappa)) * width))
+        word &= (1 << width) - 1
+        bit = 1 << pair
+        for position, net in enumerate(inputs):
+            if (word >> (width - 1 - position)) & 1:
+                words[net] |= bit
+    return words
+
+
+def _input_words_python(inputs, width, cycle, depth, n_inputs):
+    words = {net: 0 for net in inputs}
+    for i_value in range(n_inputs):
+        word = (i_value >> ((depth - 1 - cycle) * width)) & ((1 << width) - 1)
+        bit = 1 << i_value
+        for position, net in enumerate(inputs):
+            if (word >> (width - 1 - position)) & 1:
+                words[net] |= bit
+    return words
+
+
+def _expand_python(word, n_inputs, n_keys):
+    expanded = 0
+    for i_value in range(n_inputs):
+        if (word >> i_value) & 1:
+            expanded |= ((1 << n_keys) - 1) << (i_value * n_keys)
+    return expanded
+
+
+def _rows_python(mismatch, n_inputs, n_keys):
+    return [
+        [bool((mismatch >> (i_value * n_keys + k_value)) & 1)
+         for k_value in range(n_keys)]
+        for i_value in range(n_inputs)
+    ]
+
+
+def per_pair_error_table(locked, depth):
+    """The measured table built pair by pair: the locked run's stimulus
+    packed one pair at a time, the oracle run over input sequences
+    only and expanded to every key, and rows read bit by bit."""
+    width, kappa = locked.spec.width, locked.spec.kappa
+    n_inputs = 1 << (depth * width)
+    n_keys = 1 << (kappa * width)
+    n_pairs = n_inputs * n_keys
+    inputs = locked.netlist.inputs
+    locked_outputs, _ = SequentialSimulator(locked.netlist).run(
+        [_pair_words_python(inputs, width, cycle, kappa, depth, n_pairs,
+                            n_keys)
+         for cycle in range(kappa + depth)], n_pairs)
+    oracle_outputs, _ = SequentialSimulator(locked.original).run(
+        [_input_words_python(inputs, width, cycle, depth, n_inputs)
+         for cycle in range(depth)], n_inputs)
+    mismatch = 0
+    for cycle in range(depth):
+        for locked_word, oracle_word in zip(locked_outputs[kappa + cycle],
+                                            oracle_outputs[cycle]):
+            mismatch |= locked_word ^ _expand_python(oracle_word, n_inputs,
+                                                     n_keys)
+    return ErrorTable(width, kappa, depth,
+                      _rows_python(mismatch, n_inputs, n_keys))
+
+
+@functools.lru_cache(maxsize=None)
+def _scheme_lock(scheme, width, kappa):
+    host = _tiny_circuit(n_inputs=width)
+    if scheme == "trilock":  # κf = 1 whenever κ leaves room for κs >= 1
+        kappa_f = min(1, kappa - 1)
+        return SCHEMES.get("trilock").lock(
+            host, seed=3, kappa_s=kappa - kappa_f, kappa_f=kappa_f,
+            alpha=0.6)
+    return SCHEMES.get(scheme).lock(host, seed=1, kappa=kappa)
+
+
+@st.composite
+def _table_shapes(draw):
+    """``(width, κ, depth)`` with ``(κ + depth)·width <= 12``."""
+    width = draw(st.integers(1, 3))
+    kappa = draw(st.integers(1, 12 // width - 1))
+    depth = draw(st.integers(1, 12 // width - kappa))
+    return width, kappa, depth
+
+
+class TestClosedFormStimulus:
+    @settings(max_examples=40, deadline=None)
+    @given(scheme=st.sampled_from(["trilock", "naive", "sarlock"]),
+           shape=_table_shapes())
+    def test_equals_per_pair_pipeline(self, scheme, shape):
+        width, kappa, depth = shape
+        locked = _scheme_lock(scheme, width, kappa)
+        assert measured_error_table(locked, depth) == \
+            per_pair_error_table(locked, depth)
+
+    @pytest.mark.parametrize("kappa_s,depth", [
+        (3, 4),  # 2^16 pairs
+        (4, 5),  # 2^20 pairs, the exhaustive cap
+    ])
+    def test_wide_tables_match_spec(self, kappa_s, depth):
+        locked = locked_factory(kappa_s=kappa_s, kappa_f=1, alpha=0.6,
+                                seed=3)
+        assert measured_error_table(locked, depth).rows == \
+            spec_error_table(locked.spec, depth).rows

@@ -1,7 +1,6 @@
 """Hot-path coverage: a differential grid for the native solver
-backend, numpy-vs-pure sweep equality on the fig3/fig7 cells,
-the interrupt-latency regression, the FC seed-derivation fix, and the
-typed-extrapolation-error cases."""
+backend, the interrupt-latency regression, the FC seed-derivation fix,
+and the typed-extrapolation-error cases."""
 
 import random
 import shlex
@@ -9,7 +8,6 @@ import shlex
 import pytest
 
 from repro.errors import ExtrapolationError, SolverError
-from repro.experiments import fig3_error_tables, fig7_fc
 from repro.experiments import table1_sat_resilience
 from repro.metrics import (
     average_simulated_fc,
@@ -142,51 +140,6 @@ class TestInterruptLatency:
         solver.interrupt = None
         assert solver.solve() is True
         assert solver.model() is not None
-
-
-# ----------------------------------------------------------------------
-# Numpy vs pure-Python sweep equality on the fig3/fig7 cells
-# ----------------------------------------------------------------------
-class TestVectorizedSweepEquality:
-    @pytest.mark.parametrize("panel", fig3_error_tables.PANELS)
-    def test_fig3_cells_identical(self, panel, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-        pure = fig3_error_tables.panel_cell(panel, alpha=1.0)
-        monkeypatch.delenv("REPRO_NO_NUMPY")
-        fast = fig3_error_tables.panel_cell(panel, alpha=1.0)
-        assert fast == pure  # rows, FC, and the rendered ascii art
-
-    def test_fig7_cell_identical(self, monkeypatch):
-        kwargs = dict(circuit="suite:b12?scale=0.05&seed=0", seed=0,
-                      kappa_s=2, kappa_f=1, alpha=0.6, n_samples=64,
-                      depth_span=1)
-        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-        pure = fig7_fc.fc_cell(**kwargs)
-        monkeypatch.delenv("REPRO_NO_NUMPY")
-        fast = fig7_fc.fc_cell(**kwargs)
-        assert fast == pure
-
-    def test_wide_sequential_run_identical(self, monkeypatch):
-        """At and above NUMPY_MIN_PATTERNS the sequential simulator
-        switches to uint64 limb arrays; outputs and final state must be
-        bit-identical to the bigint path."""
-        from repro.bench.synth import generate_circuit
-        from repro.sim import NUMPY_MIN_PATTERNS, SequentialSimulator
-        from repro.sim.random_vectors import make_rng, \
-            random_sequence_words
-
-        net = generate_circuit("wide", n_inputs=4, n_outputs=3,
-                               n_flops=6, n_gates=60, seed=13)
-        sim = SequentialSimulator(net)
-        n = NUMPY_MIN_PATTERNS
-        stim = random_sequence_words(make_rng("wide-stim"), net.inputs,
-                                     3, n)
-        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-        pure_out, pure_state = sim.run(stim, n)
-        monkeypatch.delenv("REPRO_NO_NUMPY")
-        fast_out, fast_state = sim.run(stim, n)
-        assert fast_out == pure_out
-        assert fast_state == pure_state
 
 
 # ----------------------------------------------------------------------

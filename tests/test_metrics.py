@@ -1,7 +1,6 @@
 """Tests for metrics: FC estimation, resilience measurement, overhead."""
 
 import functools
-import importlib.util
 import statistics
 
 import pytest
@@ -9,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.metrics.corruptibility as corruptibility
-import repro.sim.seq as seq_module
 from repro.api import SCHEMES
 from repro.core import fc_trilock, fc_trilock_exact
 from repro.errors import SimulationError
@@ -23,18 +21,11 @@ from repro.metrics import (
     paper_depth_range,
     simulate_fc,
 )
-from repro.sim import (
-    NUMPY_MIN_PATTERNS,
-    SequentialSimulator,
-    derive_seed,
-    make_rng,
-)
+from repro.sim import SequentialSimulator, derive_seed, make_rng
 from repro.sim.bitvec import mask_for
 from repro.sim.random_vectors import random_input_words
 
 from tests.conftest import _locked_mid, _tiny_circuit, locked_factory
-
-_HAVE_NUMPY = importlib.util.find_spec("numpy") is not None
 
 
 class TestSimulatedFc:
@@ -139,39 +130,27 @@ class TestPackedFc:
     """All depth windows of a Fig. 7 cell share one packed run per
     netlist; each window's fraction must equal a run of its own."""
 
-    @pytest.mark.parametrize("path", [
-        "bigint",
-        pytest.param("limbs", marks=pytest.mark.skipif(
-            not _HAVE_NUMPY, reason="numpy not installed")),
-    ])
     @settings(max_examples=20, deadline=None)
     @given(scheme=st.sampled_from(["trilock", "naive", "sarlock"]),
            depths=st.lists(st.integers(1, 5), min_size=1, max_size=6),
            n_samples=st.integers(1, 150),
            seed=st.integers(0, 1000))
-    def test_equals_per_depth_loop(self, path, scheme, depths, n_samples,
-                                   seed):
+    def test_equals_per_depth_loop(self, scheme, depths, n_samples, seed):
         locked = _fc_lock(scheme)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setenv("REPRO_NO_NUMPY", "1")
-            want = _per_depth_fcs(locked, depths, n_samples, seed)
-            if path == "limbs":
-                patch.delenv("REPRO_NO_NUMPY")
-                patch.setattr(seq_module, "NUMPY_MIN_PATTERNS", 1)
-            got = average_simulated_fc(locked, depths, n_samples=n_samples,
-                                       seed=seed)
-            singles = [simulate_fc(locked, depth, n_samples=n_samples,
-                                   seed=derive_seed("fc", seed, depth))
-                       for depth in depths]
+        want = _per_depth_fcs(locked, depths, n_samples, seed)
+        got = average_simulated_fc(locked, depths, n_samples=n_samples,
+                                   seed=seed)
+        singles = [simulate_fc(locked, depth, n_samples=n_samples,
+                               seed=derive_seed("fc", seed, depth))
+                   for depth in depths]
         assert got == statistics.mean(want)
         assert singles == want
 
-    def test_packed_width_crosses_numpy_threshold(self):
-        """Two windows of just over half ``NUMPY_MIN_PATTERNS`` samples:
-        the packed run is wide enough for the limb path while each
-        per-depth reference run stays on bigints."""
+    def test_packed_width_past_2_16_patterns(self):
+        """Two windows of just over 2^15 samples: the packed run is
+        wider than 2^16 patterns, each per-depth reference run is not."""
         locked = _fc_lock("trilock")
-        n_samples = NUMPY_MIN_PATTERNS // 2 + 5
+        n_samples = (1 << 15) + 5
         got = average_simulated_fc(locked, [1, 3], n_samples=n_samples,
                                    seed=2)
         want = _per_depth_fcs(locked, [1, 3], n_samples, 2)

@@ -173,16 +173,6 @@ class TestBatchedSerialDifferential:
         assert batched.key == serial.key
         assert batched.n_dips == serial.n_dips
 
-    def test_identical_under_pure_python_fallback(self, monkeypatch):
-        numpy_pair = _attack_pair(2, 4)
-        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-        fallback_pair = _attack_pair(2, 4)
-        for (with_numpy, _), (fallback, _) in zip(numpy_pair,
-                                                  fallback_pair):
-            assert fallback.key == with_numpy.key
-            assert fallback.n_dips == with_numpy.n_dips
-            assert fallback.dips_per_depth == with_numpy.dips_per_depth
-
     def test_dip_batch_one_accounting_matches_serial_loop(self):
         # A single-DIP round is a batch of one: one call per DIP either
         # way; only the black-box key check's batch saves calls.

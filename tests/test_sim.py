@@ -1,18 +1,18 @@
 """Tests for bit-parallel simulation: packing, comb engine, sequential."""
 
-import importlib.util
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import repro.sim.seq as seq_module
 from repro.errors import SimulationError
 from repro.bench.iscas import load_embedded
 from repro.netlist import GateOp, Netlist
 from repro.sim import (
-    NUMPY_MIN_PATTERNS,
     CombSimulator,
     SequentialSimulator,
     bit_at,
@@ -39,25 +39,6 @@ from tests.util import (
 )
 
 pytestmark = pytest.mark.smoke
-
-_HAVE_NUMPY = importlib.util.find_spec("numpy") is not None
-
-#: The two evaluator value representations, as a parametrize list.
-_PATHS = [
-    "bigint",
-    pytest.param("limbs", marks=pytest.mark.skipif(
-        not _HAVE_NUMPY, reason="numpy not installed")),
-]
-
-
-def _use_path(patch, path):
-    """Route every :class:`SequentialSimulator` run through ``path``:
-    bigint words, or numpy limb arrays at any width."""
-    if path == "bigint":
-        patch.setenv("REPRO_NO_NUMPY", "1")
-    else:
-        patch.delenv("REPRO_NO_NUMPY", raising=False)
-        patch.setattr(seq_module, "NUMPY_MIN_PATTERNS", 1)
 
 
 class TestBitvec:
@@ -193,13 +174,10 @@ class TestSequentialSimulator:
         with pytest.raises(SimulationError, match="missing stimulus"):
             sim.run([{}], 1)
 
-    @pytest.mark.parametrize("n_patterns", [64, NUMPY_MIN_PATTERNS])
-    def test_unmasked_initial_state_is_masked_on_every_path(
-            self, n_patterns, monkeypatch):
+    @pytest.mark.parametrize("n_patterns", [64, 1 << 16])
+    def test_unmasked_initial_state_is_masked(self, n_patterns):
         """A state word with bits at or above ``n_patterns`` (``-1``, or
-        bit ``n``) runs like its masked self on the bigint path and, at
-        ``NUMPY_MIN_PATTERNS``, on the limb path too."""
-        monkeypatch.delenv("REPRO_NO_NUMPY", raising=False)
+        bit ``n``) runs like its masked self, at any width."""
         netlist = load_embedded("s27")
         sim = SequentialSimulator(netlist)
         mask = mask_for(n_patterns)
@@ -317,19 +295,15 @@ def _reference_words(netlist, width, rng, n_cycles=3):
 
 
 class TestCompiledProgramDifferential:
-    @pytest.mark.parametrize("path", _PATHS)
     @settings(max_examples=60, deadline=None)
     @given(netlist=sequential_netlists(), seed=st.integers(0, 2**32 - 1))
     @example(netlist=_every_case_netlist(), seed=0)
-    def test_sequential_run_matches_reference(self, path, netlist, seed):
+    def test_sequential_run_matches_reference(self, netlist, seed):
         rng = random.Random(seed)
-        with pytest.MonkeyPatch.context() as patch:
-            _use_path(patch, path)
-            sim = SequentialSimulator(netlist)
-            for width in (1, 64, 65, 4800):
-                stimulus, outputs, state = _reference_words(netlist, width,
-                                                            rng)
-                assert sim.run(stimulus, width) == (outputs, state)
+        sim = SequentialSimulator(netlist)
+        for width in (1, 64, 65, 4800):
+            stimulus, outputs, state = _reference_words(netlist, width, rng)
+            assert sim.run(stimulus, width) == (outputs, state)
 
     @settings(max_examples=60, deadline=None)
     @given(netlist=sequential_netlists(), seed=st.integers(0, 2**32 - 1))
@@ -341,3 +315,24 @@ class TestCompiledProgramDifferential:
         values = CombSimulator(netlist).evaluate_pattern(assignment)
         assert values == reference_eval(netlist, assignment)
         assert set(values) == set(netlist.nets())
+
+
+def test_numpy_is_never_imported():
+    """Every simulation word is a Python int: importing the API and the
+    Fig. 3, Fig. 7 and Table II experiments, then building a Fig. 3
+    panel and an FC estimate, loads no numpy."""
+    repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code = ("import sys, repro.api\n"
+            "from repro.experiments import fig3_error_tables, fig7_fc, "
+            "table2_removal\n"
+            "from repro.metrics import simulate_fc\n"
+            "fig3_error_tables.panel_cell('(b) E^SF', alpha=0.6)\n"
+            "locked = repro.api.SCHEMES.get('trilock').lock(\n"
+            "    repro.api.load_circuit('s27'), seed=0)\n"
+            "simulate_fc(locked, 2, n_samples=64, seed=0)\n"
+            "print('numpy' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.path.join(repo_root, "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          cwd=repo_root, capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.strip() == "False"
