@@ -74,7 +74,8 @@ bench:
 # Attack hot-path microbench: arena CDCL conflicts/sec on PHP(8,7),
 # word-packed fig3 error tables and fig7 FC vs per-pair and per-vector
 # loops, the Fig. 7 cell's simulation program (slots, compile ms,
-# ns/gate/cycle), end-to-end comb_sat phases. Writes
+# ns/gate/cycle), the BMC fold (ns per folded gate, exact gate and CSE
+# hit counts), end-to-end comb_sat phases. Writes
 # benchmarks/artifacts/BENCH_solver.json.
 bench-solver:
 	$(PY) -m pytest benchmarks/bench_solver.py -q

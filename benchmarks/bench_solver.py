@@ -15,6 +15,9 @@ Acceptance bars:
   third of their netlist's nets in slots, with the outputs of the
   program that keeps every net (compile time, ns per gate per cycle and
   slot counts are recorded);
+* the BMC fold of the ``bmc-verify`` cell under its correct key needs no
+  solver and emits exactly 15,671 new gates with 17,070 CSE hits (ns per
+  folded gate is recorded);
 * Table II's S=30 lock of the full-scale s38584 stand-in applies 29
   pairs with exactly one full SCC decomposition;
 * the 48-gate ``comb_sat`` cell recovers a key after exactly
@@ -32,6 +35,7 @@ from statistics import mean
 from repro.api import SCHEMES, load_circuit
 from repro.attacks import (
     SimulationOracle,
+    bounded_equivalence,
     comb_sat_attack,
     unrolled_attack_view,
 )
@@ -39,6 +43,7 @@ from repro.attacks.seq_sat import _with_folded_constants
 from repro.bench.synth import generate_circuit
 from repro.core import RegisterGraph, TriLockConfig, lock
 from repro.core.error_tables import measured_error_table
+from repro.netlist import LogicBuilder
 from repro.metrics import (
     PAPER_FC_SAMPLES,
     average_simulated_fc,
@@ -399,6 +404,70 @@ def test_sim_program(artifact_sink, bench_json_merge):
     artifact_sink("solver_sim_program",
                   "fig7 cell simulation program (s38584 stand-in, "
                   "ks=4, kf=2)\n" + "\n".join(lines) + "\n")
+
+
+def test_fold_per_gate(artifact_sink, bench_json_merge, monkeypatch):
+    """The fold behind every DIP pin and BMC proof, on the benchmark's
+    ``bmc-verify`` cell: ``bounded_equivalence`` of the κs=1, κf=1,
+    α=0.6 lock (seed 0) of the 3,000-gate synth host against its
+    original, under the correct key at depth 7 (seq-sat's first check
+    depth). A recorded row, not a race: ns per folded gate (one
+    replay of one needed gate, best of three). Bars: the proof needs
+    no solver, and the builder emits exactly 15,671 new gates and
+    finds 17,070 shared ones (its CSE hits)."""
+    circuit = load_circuit("synth?gates=3000&ffs=24&pis=6&pos=4&seed=0")
+    locked = SCHEMES.get("trilock").lock(circuit, seed=0, kappa_s=1,
+                                         kappa_f=1, alpha=0.6)
+    prefix, depth = locked.key_vectors(), 7
+
+    def needed(netlist):
+        roots = [*netlist.outputs,
+                 *(flop.d for flop in netlist.flops.values())]
+        return len(netlist.combinational_fanin(roots)[0])
+
+    folded = (needed(locked.netlist) * (len(prefix) + depth)
+              + needed(locked.original) * depth)
+    seconds = float("inf")
+    for _ in range(_REPEATS):
+        start = time.process_time()
+        result = bounded_equivalence(locked.original, locked.netlist, depth,
+                                     prefix_vectors=prefix)
+        seconds = min(seconds, time.process_time() - start)
+        assert result.equivalent and result.solver_stats["solve_calls"] == 0
+
+    counts = {"new_gates": 0, "cse_hits": 0}
+    emit = LogicBuilder._emit
+
+    def counted(builder, op, inputs):
+        before = len(builder._cse)
+        net = emit(builder, op, inputs)
+        counts["new_gates" if len(builder._cse) > before
+               else "cse_hits"] += 1
+        return net
+
+    monkeypatch.setattr(LogicBuilder, "_emit", counted)
+    bounded_equivalence(locked.original, locked.netlist, depth,
+                        prefix_vectors=prefix)
+    monkeypatch.undo()
+    assert counts == {"new_gates": 15_671, "cse_hits": 17_070}, counts
+    ns_per_gate = seconds / folded * 1e9
+    bench_json_merge("solver", {
+        "fold_per_gate": {
+            "instance": "bmc-verify cell: synth gates=3000 ffs=24 pis=6 "
+                        "pos=4, trilock ks=1 kf=1 alpha=0.6 seed=0, "
+                        "correct key, depth 7",
+            "folded_gates": folded,
+            "seconds": seconds,
+            "ns_per_folded_gate": ns_per_gate,
+            **counts,
+        },
+    })
+    artifact_sink(
+        "solver_fold_per_gate",
+        f"BMC fold of the bmc-verify cell under its correct key, depth "
+        f"{depth}\n{folded} gates folded in {seconds * 1e3:.1f} ms CPU: "
+        f"{ns_per_gate:.0f} ns per folded gate; {counts['new_gates']} new "
+        f"gates, {counts['cse_hits']} CSE hits\n")
 
 
 # ----------------------------------------------------------------------

@@ -194,12 +194,13 @@ class RegisterGraph:
 
 
 def build_rcg(netlist, provenance=None):
-    """The :class:`RegisterGraph` of ``netlist``, built in one topological
-    pass that ORs the register bitsets of each gate's inputs."""
+    """The :class:`RegisterGraph` of ``netlist``, built in one pass over
+    :meth:`~repro.netlist.netlist.Netlist.gate_order` that ORs the
+    register bitsets of each gate's inputs."""
     flops = netlist.flops
     gates = netlist.gates
     support = {q: 1 << i for i, q in enumerate(flops)}
-    for net in netlist.topo_order():
+    for net in netlist.gate_order():
         acc = 0
         for src in gates[net].inputs:
             acc |= support.get(src, 0)

@@ -124,7 +124,7 @@ def lock_sublock(netlist, kappa=2, n_subs=4, seed=0):
     if n_subs < 1:
         raise LockingError(
             f"sublock replaces at least one sub-circuit, got {n_subs}")
-    if not netlist.gates:
+    if not netlist.num_gates():
         raise LockingError("sublock needs combinational gates to replace")
     original, locked, rng, key, builder = _base_setup(
         netlist, kappa, seed, "sublock")
@@ -138,7 +138,7 @@ def lock_sublock(netlist, kappa=2, n_subs=4, seed=0):
     # output-driving gate so the perturbation reaches a PO.
     gate_nets = sorted(original.gates)
     output_gates = sorted(net for net in set(original.outputs)
-                          if net in original.gates)
+                          if original.is_gate(net))
     victims = []
     if output_gates:
         victims.append(rng.choice(output_gates))

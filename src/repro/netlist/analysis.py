@@ -83,9 +83,6 @@ def is_purely_combinational(netlist):
 
 def constant_output_indices(netlist):
     """Indices of primary outputs driven by constant gates (post-fold)."""
-    indices = []
-    for position, net in enumerate(netlist.outputs):
-        gate = netlist.gates.get(net)
-        if gate is not None and gate.op in (GateOp.CONST0, GateOp.CONST1):
-            indices.append(position)
-    return indices
+    constants = (GateOp.CONST0, GateOp.CONST1)
+    return [position for position, net in enumerate(netlist.outputs)
+            if netlist.is_gate(net) and netlist.gate(net).op in constants]

@@ -14,6 +14,12 @@ word-level helpers (trees, comparators, muxes, adders) that:
 
 All signal arguments and return values are net-name strings; the two
 constant nets are materialised on demand.
+
+``and_``, ``or_`` and ``xor_`` take nets as arguments or as one list. Each
+runs a list-taking primitive (``_and``, ``_or``, ``_xor``), which the fold
+of :mod:`repro.netlist.transform` calls directly: it reads the two
+constant nets once, and emits a gate of at most ``max_arity`` inputs
+without building a tree.
 """
 
 from __future__ import annotations
@@ -59,13 +65,13 @@ class LogicBuilder:
         return net == (self._const1 if value else self._const0) and net is not None
 
     def _emit(self, op, inputs):
-        key_inputs = tuple(sorted(inputs)) if op in _COMMUTATIVE else tuple(inputs)
-        key = (op, key_inputs)
+        inputs = tuple(sorted(inputs)) if op in _COMMUTATIVE else tuple(inputs)
+        key = (op, inputs)
         found = self._cse.get(key)
         if found is not None:
             return found
         net = self.names.fresh(self.prefix)
-        self.netlist.add_gate(net, op, key_inputs if op in _COMMUTATIVE else inputs)
+        self.netlist.add_gate(net, op, inputs)
         self._cse[key] = net
         return net
 
@@ -87,12 +93,15 @@ class LogicBuilder:
     # Folded Boolean primitives
     # ------------------------------------------------------------------
     def not_(self, net):
-        if self.is_const(net, 0):
+        # Net names are strs, so a constant not created yet (None)
+        # matches none of them.
+        if net == self._const0:
             return self.const(1)
-        if self.is_const(net, 1):
+        if net == self._const1:
             return self.const(0)
-        if self.netlist.is_gate(net):
-            driver = self.netlist.gate(net)
+        netlist = self.netlist
+        if netlist.is_gate(net):
+            driver = netlist.gate(net)
             if driver.op is GateOp.NOT:
                 return driver.inputs[0]  # double negation
         return self._emit(GateOp.NOT, (net,))
@@ -116,45 +125,62 @@ class LogicBuilder:
         return level[0]
 
     def and_(self, *nets):
-        nets = _flatten(nets)
-        kept = []
-        for net in nets:
-            if self.is_const(net, 0):
-                return self.const(0)
-            if not self.is_const(net, 1) and net not in kept:
-                kept.append(net)
-        if not kept:
-            return self.const(1)
-        if len(kept) == 1:
-            return kept[0]
-        return self._tree(GateOp.AND, kept)
+        return self._and(_flatten(nets))
 
     def or_(self, *nets):
-        nets = _flatten(nets)
-        kept = []
-        for net in nets:
-            if self.is_const(net, 1):
-                return self.const(1)
-            if not self.is_const(net, 0) and net not in kept:
-                kept.append(net)
-        if not kept:
-            return self.const(0)
-        if len(kept) == 1:
-            return kept[0]
-        return self._tree(GateOp.OR, kept)
+        return self._or(_flatten(nets))
 
     def xor_(self, *nets):
-        nets = _flatten(nets)
+        return self._xor(_flatten(nets))
+
+    def _and(self, nets):
+        """:meth:`and_` of the sequence ``nets`` (read, never kept)."""
+        zero, one = self._const0, self._const1
+        kept = []
+        for net in nets:
+            if net == zero:
+                return zero
+            if net != one and net not in kept:
+                kept.append(net)
+        if len(kept) > self.max_arity:
+            return self._tree(GateOp.AND, kept)
+        if len(kept) > 1:
+            return self._emit(GateOp.AND, kept)
+        return kept[0] if kept else self.const(1)
+
+    def _or(self, nets):
+        """:meth:`or_` of the sequence ``nets`` (read, never kept)."""
+        zero, one = self._const0, self._const1
+        kept = []
+        for net in nets:
+            if net == one:
+                return one
+            if net != zero and net not in kept:
+                kept.append(net)
+        if len(kept) > self.max_arity:
+            return self._tree(GateOp.OR, kept)
+        if len(kept) > 1:
+            return self._emit(GateOp.OR, kept)
+        return kept[0] if kept else self.const(0)
+
+    def _xor(self, nets):
+        """:meth:`xor_` of the sequence ``nets`` (read, never kept)."""
+        zero, one = self._const0, self._const1
         invert = False
         kept = []
         for net in nets:
-            if self.is_const(net, 1):
+            if net == one:
                 invert = not invert
-            elif not self.is_const(net, 0):
+            elif net != zero:
                 kept.append(net)
         if not kept:
             return self.const(1 if invert else 0)
-        result = kept[0] if len(kept) == 1 else self._tree(GateOp.XOR, kept)
+        if len(kept) > self.max_arity:
+            result = self._tree(GateOp.XOR, kept)
+        elif len(kept) > 1:
+            result = self._emit(GateOp.XOR, kept)
+        else:
+            result = kept[0]
         return self.not_(result) if invert else result
 
     def nand_(self, *nets):
@@ -270,5 +296,5 @@ class LogicBuilder:
 def _flatten(nets):
     """Accept both ``f(a, b, c)`` and ``f([a, b, c])`` call shapes."""
     if len(nets) == 1 and isinstance(nets[0], (list, tuple)):
-        return list(nets[0])
-    return list(nets)
+        return nets[0]
+    return nets

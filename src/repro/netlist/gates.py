@@ -29,6 +29,11 @@ class GateOp(enum.Enum):
     CONST0 = "CONST0"
     CONST1 = "CONST1"
 
+    # Members are singletons, so identity is equality: the C-level
+    # object hash replaces Enum's Python-level hash of the member name,
+    # which every dict or set keyed by an op would otherwise call.
+    __hash__ = object.__hash__
+
     def __str__(self):
         return self.value
 
@@ -69,8 +74,9 @@ class Gate:
         low, high = _ARITY[self.op]
         n = len(self.inputs)
         if n < low or (high is not None and n > high):
+            bound = "inf" if high is None else high
             raise NetlistError(
-                f"{self.op} expects arity in [{low}, {high or 'inf'}], got {n}"
+                f"{self.op} expects arity in [{low}, {bound}], got {n}"
             )
         for net in self.inputs:
             if not isinstance(net, str) or not net:

@@ -10,11 +10,26 @@ Primary outputs are references to driven nets. The class enforces the
 single-driver rule at construction time and offers the structural queries
 (topological order, fanin cones, register support) that the simulator, the
 CNF encoder, the locker, and the attacks all share.
+
+Two topological gate orders serve different readers:
+
+* :meth:`Netlist.gate_order` is the cheap one. Where every gate was
+  added after the gates it reads, as the builder, the generator and the
+  unroller add them, it is insertion order, proved in one pass and not
+  copied; a forward reference costs one depth-first walk. Use it where
+  any topological order gives the same result: :meth:`Netlist.validate`
+  runs its pass, the simulator compiles in it, and the register graph is
+  built over it.
+* :meth:`Netlist.topo_order` is Kahn's breadth-first order. Use it where
+  the order shows in the result: CNF encoding numbers solver variables
+  in it, unrolling and the fold name gates in it (and so fix the DIP
+  walk), and the writers and static timing follow it.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from itertools import islice, takewhile
 
 from repro.errors import CombinationalCycleError, NetlistError
 from repro.netlist.gates import Flop, Gate, GateOp
@@ -30,7 +45,7 @@ class Netlist:
         self._outputs = []
         self._gates = {}
         self._flops = {}
-        self._topo_cache = None
+        self._topo_cache = self._order_cache = None
         self._validated = False
 
     # ------------------------------------------------------------------
@@ -48,12 +63,16 @@ class Netlist:
 
     @property
     def gates(self):
-        """Read-only view: driven net -> :class:`Gate`."""
+        """A copy of the gate table: driven net -> :class:`Gate`.
+
+        Copying costs O(gates); look single nets up with :meth:`is_gate`
+        and :meth:`gate` instead.
+        """
         return dict(self._gates)
 
     @property
     def flops(self):
-        """Read-only view: Q net -> :class:`Flop`."""
+        """A copy of the flop table: Q net -> :class:`Flop`."""
         return dict(self._flops)
 
     def gate(self, net):
@@ -120,7 +139,7 @@ class Netlist:
         self._check_fresh(net)
         self._inputs.append(net)
         self._input_set.add(net)
-        self._topo_cache = None
+        self._topo_cache = self._order_cache = None
         self._validated = False
         return net
 
@@ -150,7 +169,7 @@ class Netlist:
         """Drive ``net`` with ``op(inputs)``; returns the net name."""
         self._check_fresh(net)
         self._gates[net] = Gate(op, tuple(inputs))
-        self._topo_cache = None
+        self._topo_cache = self._order_cache = None
         self._validated = False
         return net
 
@@ -158,7 +177,7 @@ class Netlist:
         """Drive ``q`` with a flop loading ``d``; returns the Q net name."""
         self._check_fresh(q)
         self._flops[q] = Flop(d, init)
-        self._topo_cache = None
+        self._topo_cache = self._order_cache = None
         self._validated = False
         return q
 
@@ -167,7 +186,7 @@ class Netlist:
         if net not in self._gates:
             raise NetlistError(f"net {net!r} is not gate-driven")
         self._gates[net] = Gate(op, tuple(inputs))
-        self._topo_cache = None
+        self._topo_cache = self._order_cache = None
         self._validated = False
 
     def replace_flop_d(self, q, d):
@@ -175,7 +194,7 @@ class Netlist:
         if q not in self._flops:
             raise NetlistError(f"net {q!r} is not flop-driven")
         self._flops[q] = Flop(d, self._flops[q].init)
-        self._topo_cache = None
+        self._topo_cache = self._order_cache = None
         self._validated = False
 
     def remove_flop(self, q):
@@ -183,7 +202,7 @@ class Netlist:
         if q not in self._flops:
             raise NetlistError(f"net {q!r} is not flop-driven")
         del self._flops[q]
-        self._topo_cache = None
+        self._topo_cache = self._order_cache = None
         self._validated = False
 
     def remove_gate(self, net):
@@ -191,7 +210,7 @@ class Netlist:
         if net not in self._gates:
             raise NetlistError(f"net {net!r} is not gate-driven")
         del self._gates[net]
-        self._topo_cache = None
+        self._topo_cache = self._order_cache = None
         self._validated = False
 
     # ------------------------------------------------------------------
@@ -214,28 +233,97 @@ class Netlist:
     def validate(self):
         """Raise :class:`NetlistError` on dangling nets or comb cycles.
 
-        Returns at once when nothing was mutated since the last success.
+        Proved in one insertion-order pass when every gate reads only
+        nets driven before it; a forward reference costs the fan-in walk
+        of :meth:`gate_order`. Returns at once when nothing was mutated
+        since the last success.
         """
         if self._validated:
             return self
+        driven = self._input_set.union(self._flops)
+        self._order_cache = self._ordered(driven)
+        if not driven.issuperset([*self._outputs, *(
+                flop.d for flop in self._flops.values())]):
+            self._raise_if_undriven()
+        self._validated = True
+        return self
+
+    def _raise_if_undriven(self):
         dangling = self.undriven_nets()
         if dangling:
             preview = ", ".join(sorted(dangling)[:8])
             raise NetlistError(f"undriven nets: {preview}")
-        self.topo_order()  # raises CombinationalCycleError on a cycle
-        self._validated = True
-        return self
+
+    def gate_order(self):
+        """Gate nets, each after every gate it reads (cached).
+
+        This is insertion order when that is already topological, and
+        then the gate table's own key view (no copy). Otherwise each
+        gate's fan-in not yet placed is walked depth-first and placed
+        just before it, so logic regions added together stay together.
+        Raises like :meth:`validate` on an undriven gate input or a
+        cycle. Never mutate the result; a mutation of the netlist
+        invalidates it.
+        """
+        if self._order_cache is None:
+            self._order_cache = self._ordered(
+                self._input_set.union(self._flops))
+        return self._order_cache
+
+    def _ordered(self, placed):
+        """:meth:`gate_order`, computed; adds every gate to ``placed``, a
+        fresh set of the sources."""
+        gates = self._gates
+        covered, add = placed.issuperset, placed.add
+        for net, gate in gates.items():
+            if not covered(gate.inputs):
+                break
+            add(net)
+        else:
+            return gates.keys()
+        order = list(takewhile(placed.__contains__, gates))
+        expanded = set()
+        for root in islice(gates, len(order), None):
+            stack = [root]
+            while stack:
+                net = stack[-1]
+                if net in placed:
+                    stack.pop()
+                    continue
+                gate = gates.get(net)
+                if gate is None:  # read but undriven, so this raises
+                    self._raise_if_undriven()
+                missing = [src for src in gate.inputs if src not in placed]
+                if not missing:
+                    add(stack.pop())
+                    order.append(net)
+                elif net not in expanded:
+                    expanded.add(net)
+                    stack.extend(missing)
+                else:
+                    # Back on top with fan-in still missing: a cycle.
+                    # Undriven nets, if any, are reported first.
+                    self._raise_if_undriven()
+                    raise CombinationalCycleError(self._kahn()[1])
+        return order
 
     def topo_order(self):
-        """Gate nets in combinational topological order (cached).
+        """Gate nets in Kahn's breadth-first topological order (cached).
 
         Primary inputs and flop Q nets are sources and are not listed; the
         order is valid for single-pass evaluation of all gates. The list
         is shared with copies of this netlist: never mutate it.
         """
-        if self._topo_cache is not None:
-            return self._topo_cache
+        if self._topo_cache is None:
+            order, blocked = self._kahn()
+            if blocked:
+                raise CombinationalCycleError(blocked)
+            self._topo_cache = order
+        return self._topo_cache
 
+    def _kahn(self):
+        """``(order, blocked)``: Kahn's peel, and the sorted gates it
+        cannot order (those on or downstream of a cycle)."""
         indegree = {}
         consumers = {}
         for net, gate in self._gates.items():
@@ -255,12 +343,8 @@ class Netlist:
                 indegree[sink] -= 1
                 if indegree[sink] == 0:
                     ready.append(sink)
-
-        if len(order) != len(self._gates):
-            stuck = [net for net, count in indegree.items() if count > 0]
-            raise CombinationalCycleError(sorted(stuck))
-        self._topo_cache = order
-        return order
+        return order, sorted(net for net, count in indegree.items()
+                             if count > 0)
 
     def fanout_map(self):
         """Map net -> list of gate/flop nets that consume it."""
@@ -330,6 +414,8 @@ class Netlist:
         dup._gates = dict(self._gates)
         dup._flops = dict(self._flops)
         dup._topo_cache = self._topo_cache
+        if isinstance(self._order_cache, list):  # not a key view of ours
+            dup._order_cache = self._order_cache
         dup._validated = self._validated
         return dup
 

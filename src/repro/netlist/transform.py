@@ -6,6 +6,11 @@ constant folding, double-negation elimination, and structural sharing for
 free. They stand in for the light cleanup a synthesis tool would perform,
 and are used before CNF encoding, before area/power accounting, and to
 specialise a locked circuit on a fixed key (``constant_inputs``).
+
+The fold under all of them, :meth:`InputSpecializer.fold`, also replays
+circuits for every DIP pin and BMC check, so it costs one dispatch per
+gate: an ``is``-chain on the gate's op into the builder's list-taking
+primitives.
 """
 
 from __future__ import annotations
@@ -15,25 +20,14 @@ from repro.netlist.builder import LogicBuilder
 from repro.netlist.gates import GateOp
 from repro.netlist.netlist import Netlist
 
-_OP_BUILDERS = {
-    GateOp.AND: lambda b, ins: b.and_(ins),
-    GateOp.NAND: lambda b, ins: b.nand_(ins),
-    GateOp.OR: lambda b, ins: b.or_(ins),
-    GateOp.NOR: lambda b, ins: b.nor_(ins),
-    GateOp.XOR: lambda b, ins: b.xor_(ins),
-    GateOp.XNOR: lambda b, ins: b.not_(b.xor_(ins)),
-    GateOp.NOT: lambda b, ins: b.not_(ins[0]),
-    GateOp.BUF: lambda b, ins: ins[0],
-}
-
 
 class InputSpecializer:
     """Repeated partial evaluation of one netlist on varying constants.
 
     Precomputes everything about the fold that does not depend on the
-    constant values — the needed-cone topological gate order and the
-    reserved name list — so specialising the same circuit on many input
-    assignments (the DIP-pinning hot loop) skips the two full graph
+    constant values — the needed cone's gates in topological order and
+    the reserved name list — so specialising the same circuit on many
+    input assignments (the DIP-pinning hot loop) skips the two full graph
     traversals that a standalone :func:`simplified` call pays each time.
     ``specialize`` is, by construction, the same code path as
     :func:`simplified`, so results are structurally byte-identical.
@@ -47,7 +41,8 @@ class InputSpecializer:
         roots = set(netlist.outputs)
         roots.update(flop.d for flop in netlist.flops.values())
         needed, _ = netlist.combinational_fanin(roots)
-        self._fold_order = [net for net in netlist.topo_order()
+        gates = netlist.gates
+        self._fold_order = [(net, gates[net]) for net in netlist.topo_order()
                             if net in needed]
 
     def specialize(self, constant_inputs=None, name=None):
@@ -101,16 +96,34 @@ class InputSpecializer:
         cycle's flop Qs mapped to the previous cycle's D images, unrolls
         it folded and shared.
         """
-        netlist = self._netlist
-        for net in self._fold_order:
-            gate = netlist.gate(net)
-            if gate.op is GateOp.CONST0:
-                mapping[net] = builder.const(0)
-            elif gate.op is GateOp.CONST1:
-                mapping[net] = builder.const(1)
-            else:
-                mapped_inputs = [mapping[src] for src in gate.inputs]
-                mapping[net] = _OP_BUILDERS[gate.op](builder, mapped_inputs)
+        and_, or_, xor_, not_ = (builder._and, builder._or, builder._xor,
+                                 builder.not_)
+        AND, NAND, OR, NOR, XOR, XNOR, NOT, BUF = (
+            GateOp.AND, GateOp.NAND, GateOp.OR, GateOp.NOR, GateOp.XOR,
+            GateOp.XNOR, GateOp.NOT, GateOp.BUF)
+        for net, gate in self._fold_order:
+            op = gate.op
+            if op is AND:
+                mapping[net] = and_([mapping[src] for src in gate.inputs])
+            elif op is NOT:
+                mapping[net] = not_(mapping[gate.inputs[0]])
+            elif op is OR:
+                mapping[net] = or_([mapping[src] for src in gate.inputs])
+            elif op is NAND:
+                mapping[net] = not_(and_([mapping[src]
+                                          for src in gate.inputs]))
+            elif op is NOR:
+                mapping[net] = not_(or_([mapping[src]
+                                         for src in gate.inputs]))
+            elif op is XOR:
+                mapping[net] = xor_([mapping[src] for src in gate.inputs])
+            elif op is XNOR:
+                mapping[net] = not_(xor_([mapping[src]
+                                          for src in gate.inputs]))
+            elif op is BUF:
+                mapping[net] = mapping[gate.inputs[0]]
+            else:  # CONST0 / CONST1
+                mapping[net] = builder.const(op is GateOp.CONST1)
 
 
 def sweep_dead_gates(netlist):

@@ -6,13 +6,14 @@ against it. Flop Q nets are treated as additional sources, so the same
 engine serves purely combinational circuits, unrolled circuits, and one
 clock phase of the sequential simulator.
 
-* **Program order.** Gates are emitted in the netlist's insertion order,
+* **Program order.** Gates are emitted in
+  :meth:`~repro.netlist.netlist.Netlist.gate_order`: insertion order,
   with any fan-in not yet emitted placed first. The generator,
   :class:`~repro.netlist.builder.LogicBuilder` and the locker mostly add
-  a gate after its fan-in, and then the compile is one pass. Only a
-  forward reference (a gate reading a net inserted after it, as in a
-  ``.bench`` file or after state re-encoding re-points a gate) sends it
-  through one depth-first walk that places each gate's missing fan-in
+  a gate after its fan-in, and then that order is the gate table
+  itself. Only a forward reference (a gate reading a net inserted after
+  it, as in a ``.bench`` file or after state re-encoding re-points a
+  gate) costs a depth-first walk that places each gate's missing fan-in
   just before it. Insertion order keeps each logic region's gates
   together, where a breadth-first topological sort interleaves them all.
 * **Slot reuse.** Every value lives in one slot of a flat list. Sources
@@ -65,37 +66,6 @@ def _compile(netlist, keep):
     and pinned nets through it.
     """
     gates = netlist.gates
-    compiled = _compile_in(gates.items(), gates, netlist, keep)
-    if compiled is None:  # some gate reads a net inserted after it
-        compiled = _compile_in(_fanin_first(netlist, gates), gates, netlist,
-                               keep)
-    return compiled
-
-
-def _fanin_first(netlist, gates):
-    """``gates.items()`` in insertion order, but with each gate's fan-in
-    not yet placed walked depth-first and placed just before it."""
-    placed = set(netlist.inputs).union(netlist.flops)
-    order = []
-    for root in gates:
-        stack = [root]
-        while stack:
-            net = stack[-1]
-            if net in placed:
-                stack.pop()
-                continue
-            missing = [src for src in gates[net].inputs if src not in placed]
-            if missing:
-                stack.extend(missing)
-            else:
-                placed.add(stack.pop())
-                order.append((net, gates[net]))
-    return order
-
-
-def _compile_in(order, gates, netlist, keep):
-    """:func:`_compile` emitting ``gates`` in ``order`` (``(net, gate)``
-    pairs); ``None`` if a gate reads a net not emitted yet."""
     slot_of = {net: slot
                for slot, net in enumerate([*netlist.inputs, *netlist.flops])}
     pinned = set(slot_of).union(netlist.outputs,
@@ -106,7 +76,8 @@ def _compile_in(order, gates, netlist, keep):
                                              for gate in gates.values())))
     dead = gates.keys() - reads.keys() - pinned
     free, program, n_slots = [], [], len(slot_of)
-    for net, gate in order:
+    for net in netlist.gate_order():
+        gate = gates[net]
         # The gate's slot is taken before its inputs free theirs: its
         # later steps still read them, so none may share it.
         if free:
@@ -115,10 +86,7 @@ def _compile_in(order, gates, netlist, keep):
             dst, n_slots = n_slots, n_slots + 1
         ins = []
         for src in gate.inputs:
-            try:
-                slot = slot_of[src]
-            except KeyError:
-                return None
+            slot = slot_of[src]
             ins.append(slot)
             left = reads[src] - 1
             reads[src] = left

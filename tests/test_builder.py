@@ -6,9 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.rivals import lock_sublock
 from repro.errors import NetlistError
 from repro.netlist import GateOp, LogicBuilder, Netlist
+from repro.netlist.analysis import constant_output_indices
 
+from tests.conftest import _mid_circuit
 from tests.util import reference_eval
 
 
@@ -85,6 +88,38 @@ class TestNoGateTableCopies:
         b.compare_const(inputs, 21)
         monkeypatch.undo()
         netlist.validate()
+
+    @staticmethod
+    def _count_copies(monkeypatch):
+        copies = []
+        table = Netlist.gates.fget
+
+        def counting_view(netlist):
+            copies.append(netlist)
+            return table(netlist)
+
+        monkeypatch.setattr(Netlist, "gates", property(counting_view))
+        return copies
+
+    def test_constant_output_indices_copies_nothing(self, monkeypatch):
+        netlist = Netlist("consts")
+        netlist.add_input("a")
+        netlist.add_gate("k0", GateOp.CONST0, ())
+        netlist.add_gate("k1", GateOp.CONST1, ())
+        netlist.add_gate("n", GateOp.NOT, ("k1",))
+        for net in ("a", "k0", "n", "k1", "k0"):
+            netlist.add_output(net)
+        copies = self._count_copies(monkeypatch)
+        assert constant_output_indices(netlist) == [1, 3, 4]
+        assert copies == []
+
+    def test_sublock_copies_the_gate_table_once(self, monkeypatch):
+        """Victim selection lists the gates once; the per-output test
+        looks each net up in place."""
+        circuit = _mid_circuit()
+        copies = self._count_copies(monkeypatch)
+        lock_sublock(circuit, kappa=2, n_subs=3, seed=0)
+        assert len(copies) <= 1
 
 
 class TestSharing:

@@ -1,6 +1,7 @@
 """Unit tests for gate primitives and their evaluation semantics."""
 
 import itertools
+import pickle
 
 import pytest
 
@@ -55,10 +56,35 @@ class TestGateConstruction:
         with pytest.raises(NetlistError):
             Gate("AND", ("a", "b"))
 
+    @pytest.mark.parametrize("op, inputs, bounds", [
+        (GateOp.CONST0, ("a",), "[0, 0]"),
+        (GateOp.CONST1, ("a",), "[0, 0]"),
+        (GateOp.NOT, ("a", "b"), "[1, 1]"),
+        (GateOp.BUF, ("a", "b"), "[1, 1]"),
+        (GateOp.AND, ("a",), "[2, inf]"),
+    ])
+    def test_arity_error_states_the_bounds(self, op, inputs, bounds):
+        with pytest.raises(NetlistError) as error:
+            Gate(op, inputs)
+        assert str(error.value) == (
+            f"{op} expects arity in {bounds}, got {len(inputs)}")
+
     def test_substituted_renames_only_mapped(self):
         gate = Gate(GateOp.OR, ("a", "b", "c"))
         renamed = gate.substituted({"b": "x"})
         assert renamed.inputs == ("a", "x", "c")
+
+
+class TestGateOpHash:
+    @pytest.mark.parametrize("op", list(GateOp))
+    def test_hash_is_identity(self, op):
+        """Members are singletons, so a member found by value or through
+        pickle hashes and compares as the one object."""
+        assert hash(op) == object.__hash__(op)
+        for twin in (GateOp(op.value), GateOp[op.name],
+                     pickle.loads(pickle.dumps(op))):
+            assert twin is op
+            assert {op: "found"}[twin] == "found"
 
 
 class TestFlop:
