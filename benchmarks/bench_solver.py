@@ -18,6 +18,9 @@ Acceptance bars:
 * the BMC fold of the ``bmc-verify`` cell under its correct key needs no
   solver and emits exactly 15,671 new gates with 17,070 CSE hits (ns per
   folded gate is recorded);
+* the correct key of Table I's s38584 κs=1 S=10 lock leaves 1,274
+  structurally differing output pairs, the cut re-fold meets all of
+  them, and the proof makes no solver call (seconds are recorded);
 * Table II's S=30 lock of the full-scale s38584 stand-in applies 29
   pairs with exactly one full SCC decomposition;
 * the 48-gate ``comb_sat`` cell recovers a key after exactly
@@ -35,6 +38,7 @@ from statistics import mean
 from repro.api import SCHEMES, load_circuit
 from repro.attacks import (
     SimulationOracle,
+    bmc,
     bounded_equivalence,
     comb_sat_attack,
     unrolled_attack_view,
@@ -468,6 +472,54 @@ def test_fold_per_gate(artifact_sink, bench_json_merge, monkeypatch):
         f"{depth}\n{folded} gates folded in {seconds * 1e3:.1f} ms CPU: "
         f"{ns_per_gate:.0f} ns per folded gate; {counts['new_gates']} new "
         f"gates, {counts['cse_hits']} CSE hits\n")
+
+
+def test_bmc_cut_proof(artifact_sink, bench_json_merge, monkeypatch):
+    """Table I's s38584 κs=1 cell (scale 0.08, S=10, lock seed 0): the
+    correct-key BMC check seq-sat makes at depth 7. State re-encoding
+    leaves 1,274 output pairs that structural hashing cannot meet; the
+    cut re-fold of their 9,000-gate residual meets every one, so no
+    solver is called. Records the best of three process times."""
+    circuit = load_circuit("suite:s38584?scale=0.08&seed=0")
+    locked = SCHEMES.get("trilock").lock(circuit, seed=0, kappa_s=1,
+                                         kappa_f=1, alpha=0.6, s_pairs=10)
+    prefix, depth = locked.key_vectors(), 7
+    residues = []
+    residue = bmc._cut_residue
+
+    def counted(residual, pairs):
+        left = residue(residual, pairs)
+        residues.append((len(pairs), residual.num_gates(), len(left)))
+        return left
+
+    monkeypatch.setattr(bmc, "_cut_residue", counted)
+    seconds = float("inf")
+    for _ in range(_REPEATS):
+        residues.clear()
+        start = time.process_time()
+        result = bounded_equivalence(locked.original, locked.netlist, depth,
+                                     prefix_vectors=prefix)
+        seconds = min(seconds, time.process_time() - start)
+        assert result.equivalent and result.solver_stats["solve_calls"] == 0
+        assert residues == [(1274, 9000, 0)], residues
+    bench_json_merge("solver", {
+        "bmc_cut_proof": {
+            "instance": "table1 cell: suite:s38584 scale=0.08, trilock "
+                        "ks=1 kf=1 alpha=0.6 S=10 seed=0, correct key, "
+                        "depth 7",
+            "structural_pairs": 1274,
+            "residual_gates": 9000,
+            "pairs_after_cuts": 0,
+            "solve_calls": 0,
+            "seconds": seconds,
+        },
+    })
+    artifact_sink(
+        "solver_bmc_cut_proof",
+        f"Correct-key BMC of Table I's s38584 ks=1 S=10 lock, depth "
+        f"{depth}\n1274 structurally differing pairs over a 9000-gate "
+        f"residual, 0 after the cut re-fold, 0 solver calls: "
+        f"{seconds:.2f}s CPU\n")
 
 
 # ----------------------------------------------------------------------

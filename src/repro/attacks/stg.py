@@ -42,7 +42,8 @@ def extract_stg(netlist, max_states=_DEFAULT_MAX_STATES):
         raise AttackError(
             f"exhaustive STG needs <= {_MAX_INPUT_BITS} inputs, "
             f"got {width}")
-    flops = sorted(netlist.flops)
+    flop_table = netlist.flops
+    flops = sorted(flop_table)
     n_inputs = 1 << width
     mask = mask_for(n_inputs)
     sim = CombSimulator(netlist)
@@ -64,9 +65,10 @@ def extract_stg(netlist, max_states=_DEFAULT_MAX_STATES):
 
     reset = 0
     for k, q in enumerate(flops):
-        if netlist.flops[q].init:
+        if flop_table[q].init:
             reset |= 1 << (len(flops) - 1 - k)
 
+    d_nets = [flop_table[q].d for q in flops]
     graph = nx.DiGraph()
     graph.add_node(reset)
     frontier = deque([reset])
@@ -75,7 +77,7 @@ def extract_stg(netlist, max_states=_DEFAULT_MAX_STATES):
         source = state_bits(state)
         source.update(alphabet)
         values = sim.evaluate(source, n_inputs)
-        next_words = [values[netlist.flops[q].d] for q in flops]
+        next_words = [values[d] for d in d_nets]
         for j in range(n_inputs):
             nxt = 0
             for k, word in enumerate(next_words):
@@ -124,8 +126,9 @@ class StgReport:
 
 def _reachable_under_key(netlist, key_vectors, stg):
     """States reachable when the first κ inputs are pinned to the key."""
-    flops = sorted(netlist.flops)
-    width = len(netlist.inputs)
+    flop_table = netlist.flops
+    flops = sorted(flop_table)
+    d_nets = [flop_table[q].d for q in flops]
     sim = CombSimulator(netlist)
     mask = 1
 
@@ -138,14 +141,14 @@ def _reachable_under_key(netlist, key_vectors, stg):
             source[net] = 1 if bit else 0
         values = sim.evaluate(source, mask)
         nxt = 0
-        for k, q in enumerate(flops):
-            if values[netlist.flops[q].d] & 1:
+        for k, d in enumerate(d_nets):
+            if values[d] & 1:
                 nxt |= 1 << (len(flops) - 1 - k)
         return nxt
 
     reset = 0
     for k, q in enumerate(flops):
-        if netlist.flops[q].init:
+        if flop_table[q].init:
             reset |= 1 << (len(flops) - 1 - k)
 
     # Key phase: a single deterministic path.

@@ -20,6 +20,17 @@ runs a list-taking primitive (``_and``, ``_or``, ``_xor``), which the fold
 of :mod:`repro.netlist.transform` calls directly: it reads the two
 constant nets once, and emits a gate of at most ``max_arity`` inputs
 without building a tree.
+
+:class:`CutBuilder` also shares gates that are equal in function but not
+in structure, in the style of FRAIGs (Mishchenko et al., "FRAIGs: A
+Unifying Representation for Logic Synthesis and Verification", 2005)
+with cuts in place of simulation and SAT. Each net it builds keeps a few
+small cuts (sets of earlier nets that determine it), each with its exact
+truth table; a gate whose table over one of its cuts is a constant, a cut
+net, a cut net's complement, or an earlier net's table over the same cut
+is not emitted. Bounded model checking re-folds its residual through it
+to prove re-encoded keys without a solver; every other fold stays
+structural, where the cuts would only cost time.
 """
 
 from __future__ import annotations
@@ -70,9 +81,14 @@ class LogicBuilder:
         found = self._cse.get(key)
         if found is not None:
             return found
+        net = self._cse[key] = self._new_gate(op, inputs)
+        return net
+
+    def _new_gate(self, op, inputs):
+        """Net for ``op(inputs)``, which no earlier gate computes
+        structurally (``inputs`` already canonical)."""
         net = self.names.fresh(self.prefix)
         self.netlist.add_gate(net, op, inputs)
-        self._cse[key] = net
         return net
 
     def alias(self, net, name):
@@ -298,3 +314,176 @@ def _flatten(nets):
     if len(nets) == 1 and isinstance(nets[0], (list, tuple)):
         return nets[0]
     return nets
+
+
+# ----------------------------------------------------------------------
+# Cut-based functional hashing
+# ----------------------------------------------------------------------
+#: A cut's truth table is a 16-bit int over four variables: bit ``m`` is
+#: the value when variable ``j`` is ``m >> j & 1``, and variable ``j`` is
+#: the cut's ``j``-th leaf. A table over fewer leaves ignores the rest.
+_FULL = 0xFFFF
+_LEAF = 0xAAAA  # variable 0: the table of a one-leaf cut that is its leaf
+#: Per variable: the bits where it is 0.
+_LOW = (0x5555, 0x3333, 0x0F0F, 0x00FF)
+#: Per adjacent pair (j, j+1): bits kept, bits moving up, bits moving down.
+_SWAP = ((0x9999, 0x2222, 0x4444), (0xC3C3, 0x0C0C, 0x3030),
+         (0xF00F, 0x00F0, 0x0F00))
+_MAX_LEAVES = 4
+_MAX_CUTS = 8
+_COMBINE = {GateOp.AND: int.__and__, GateOp.OR: int.__or__,
+            GateOp.XOR: int.__xor__}
+
+
+def _swap(table, j):
+    """``table`` with variables ``j`` and ``j + 1`` exchanged."""
+    keep, up, down = _SWAP[j]
+    shift = 1 << j
+    return table & keep | (table & up) << shift | (table & down) >> shift
+
+
+def _stretch(table, phase):
+    """Move a table's variables 0, 1, ... to the set bits of ``phase``."""
+    places = [p for p in range(_MAX_LEAVES) if phase >> p & 1]
+    for j in range(len(places) - 1, -1, -1):
+        for p in range(j, places[j]):
+            table = _swap(table, p)
+    return table
+
+
+def _shrink(table, n_leaves):
+    """``(table, kept)``: drop the variables ``table`` ignores; bit ``j``
+    of ``kept`` says leaf ``j`` stays."""
+    kept, top = (1 << n_leaves) - 1, n_leaves
+    for j in range(n_leaves - 1, -1, -1):
+        if not (table >> (1 << j) ^ table) & _LOW[j]:
+            top -= 1
+            for p in range(j, top):
+                table = _swap(table, p)
+            kept ^= 1 << j
+    return table, kept
+
+
+def _cut_size(cut):
+    return len(cut[1])
+
+
+class CutBuilder(LogicBuilder):
+    """A :class:`LogicBuilder` that also merges gates equal in function.
+
+    Each gate it builds keeps up to 8 cuts of at most 4 leaves: sets of
+    earlier nets that determine it, each with its exact truth table over
+    them (the leaves are numbered in the order this builder first saw
+    them). A new gate's cuts come from merging its inputs' cuts and
+    combining their tables. When one of them has no leaves (a constant),
+    is a leaf or its complement, or repeats the (leaves, table) of an
+    earlier net, the gate is that net and is not emitted. A cut's table
+    computes the net from its leaves for every input assignment, so the
+    rewrite is sound; how many equalities it finds depends on which cuts
+    survive the cap. Tables and memos live on the instance.
+    """
+
+    def __init__(self, netlist, prefix="n", max_arity=4, names=None):
+        super().__init__(netlist, prefix, max_arity, names)
+        self._leaf_nets = []   # leaf number -> net
+        self._cuts = {}        # net -> [(signature, leaves, table)], own first
+        self._functions = {}   # (leaves, table) -> first net with that cut
+        self._stretched = {}   # table | phase << 16 -> stretched table
+        self._shrunk = {}      # table | n_leaves << 16 -> _shrink's pair
+
+    def _cuts_of(self, net):
+        cuts = self._cuts.get(net)
+        if cuts is None:
+            cuts = self._cuts[net] = [self._own_cut(net)]
+        return cuts
+
+    def _own_cut(self, net):
+        leaf = len(self._leaf_nets)
+        self._leaf_nets.append(net)
+        # A signature bit per leaf (mod 64): its popcount never exceeds
+        # the leaf count, so it rejects oversized merges cheaply.
+        return 1 << (leaf & 63), (leaf,), _LEAF
+
+    def _new_gate(self, op, inputs):
+        if not inputs:  # CONST0 / CONST1
+            net = super()._new_gate(op, inputs)
+            self._cuts[net] = [(0, (), _FULL if op is GateOp.CONST1 else 0)]
+            return net
+        cuts = self._gate_cuts(op, inputs)
+        functions = self._functions
+        for _, leaves, table in cuts:
+            if len(leaves) > 1:
+                found = functions.get((leaves, table))
+                if found is not None:
+                    return found
+            elif not leaves:
+                return self.const(table & 1)
+            else:
+                leaf = self._leaf_nets[leaves[0]]
+                if table == _LEAF:
+                    return leaf
+                if op is not GateOp.NOT or inputs[0] != leaf:
+                    return self.not_(leaf)  # (not this very NOT gate)
+        net = super()._new_gate(op, inputs)
+        cuts.sort(key=_cut_size)
+        del cuts[_MAX_CUTS:]
+        for _, leaves, table in cuts:
+            functions.setdefault((leaves, table), net)
+        cuts.insert(0, self._own_cut(net))
+        self._cuts[net] = cuts
+        return net
+
+    def _over(self, table, sub, leaves):
+        """``table`` over the leaves ``sub``, re-indexed over their
+        superset ``leaves``."""
+        if sub == leaves:
+            return table
+        key = table | sum(1 << leaves.index(leaf) for leaf in sub) << 16
+        found = self._stretched.get(key)
+        if found is None:
+            found = self._stretched[key] = _stretch(table, key >> 16)
+        return found
+
+    def _gate_cuts(self, op, inputs):
+        """Every cut of ``op(inputs)`` merged from its inputs' cuts, with
+        the leaves its table ignores dropped."""
+        if op is GateOp.NOT:
+            return [(sig, leaves, table ^ _FULL)
+                    for sig, leaves, table in self._cuts_of(inputs[0])]
+        combine = _COMBINE[op]
+        over = self._over
+        partial = self._cuts_of(inputs[0])
+        for net in inputs[1:]:
+            merged = {}
+            cuts_b = self._cuts_of(net)
+            for sig_a, leaves_a, table_a in partial:
+                for sig_b, leaves_b, table_b in cuts_b:
+                    sig = sig_a | sig_b
+                    if sig.bit_count() > _MAX_LEAVES:
+                        continue
+                    leaves = tuple(sorted({*leaves_a, *leaves_b}))
+                    if len(leaves) > _MAX_LEAVES or leaves in merged:
+                        continue
+                    merged[leaves] = sig, combine(
+                        over(table_a, leaves_a, leaves),
+                        over(table_b, leaves_b, leaves))
+            partial = [(sig, leaves, table)
+                       for leaves, (sig, table) in merged.items()]
+        shrunk = self._shrunk
+        cuts, seen = [], set()
+        for sig, leaves, table in partial:
+            key = table | len(leaves) << 16
+            pair = shrunk.get(key)
+            if pair is None:
+                pair = shrunk[key] = _shrink(table, len(leaves))
+            table, kept = pair
+            if kept != (1 << len(leaves)) - 1:
+                leaves = tuple(leaf for j, leaf in enumerate(leaves)
+                               if kept >> j & 1)
+                sig = 0
+                for leaf in leaves:
+                    sig |= 1 << (leaf & 63)
+            if leaves not in seen:
+                seen.add(leaves)
+                cuts.append((sig, leaves, table))
+        return cuts

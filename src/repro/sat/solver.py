@@ -5,7 +5,8 @@ lineage, written for the SAT-based attacks in this reproduction (no SAT
 package is available offline). Features:
 
 * two-watched-literal propagation with blocker literals,
-* EVSIDS variable activities with a lazy max-heap,
+* EVSIDS variable activities with a lazy max-heap that holds at most
+  one entry per variable at its current activity,
 * first-UIP conflict analysis with self-subsumption minimisation,
 * phase saving,
 * Luby restarts,
@@ -108,6 +109,8 @@ class Solver:
         self._phase = [bool(phase_default)]
         self._activity = [0.0]
         self._order = []          # lazy max-heap of (-activity, var)
+        # The activity of var's entry in ``_order`` (-1.0: none there).
+        self._queued = [-1.0]
         self._trail = []          # encoded literals, assignment order
         self._trail_lim = []
         self._qhead = 0
@@ -150,6 +153,7 @@ class Solver:
         self._reason.append(_NO_CREF)
         self._phase.append(self._phase_default)
         self._activity.append(0.0)
+        self._queued.append(0.0)
         heapq.heappush(self._order, (0.0, var))
         return var
 
@@ -264,10 +268,7 @@ class Solver:
                     self._max_learnts *= 1.1
                     continue
                 if status:
-                    val = self._val
-                    self._model = [_UNASSIGNED] + [
-                        val[var << 1] for var in range(1, self._num_vars + 1)
-                    ]
+                    self._model = [_UNASSIGNED, *self._val[2::2]]
                     self._cancel_until(0)
                     return True
                 self._cancel_until(0)
@@ -367,6 +368,10 @@ class Solver:
                 if (interrupt is not None
                         and self.num_decisions % _INTERRUPT_DECISIONS == 0
                         and interrupt()):
+                    # The branch stays unassigned: give it its entry back.
+                    var = next_enc >> 1
+                    act = self._queued[var] = self._activity[var]
+                    heapq.heappush(self._order, (-act, var))
                     raise _Interrupted
             trail_lim.append(len(self._trail))
             self._enqueue(next_enc, _NO_CREF)
@@ -490,6 +495,7 @@ class Solver:
         activity = self._activity
         val = self._val
         order = self._order
+        queued = self._queued
         var_inc = self._var_inc
         seen = bytearray(self._num_vars + 1)
         learnt = []
@@ -508,7 +514,7 @@ class Solver:
                 var = q >> 1
                 if not seen[var] and level[var] > 0:
                     seen[var] = 1
-                    # Inlined _bump_var (hot path).
+                    # Bump the activity (inlined: the hot path).
                     act = activity[var] + var_inc
                     activity[var] = act
                     if act > 1e100:
@@ -516,8 +522,9 @@ class Solver:
                         var_inc = self._var_inc
                         order = self._order
                         act = activity[var]
-                    if val[var << 1] == _UNASSIGNED:
+                    if val[var << 1] == _UNASSIGNED and queued[var] != act:
                         heapq.heappush(order, (-act, var))
+                        queued[var] = act
                     if level[var] >= current_level:
                         path_count += 1
                     else:
@@ -673,6 +680,7 @@ class Solver:
         reason = self._reason
         activity = self._activity
         order = self._order
+        queued = self._queued
         for k in range(len(trail) - 1, boundary - 1, -1):
             enc = trail[k]
             var = enc >> 1
@@ -680,17 +688,26 @@ class Solver:
             val[enc] = _UNASSIGNED
             val[enc ^ 1] = _UNASSIGNED
             reason[var] = _NO_CREF
-            heapq.heappush(order, (-activity[var], var))
+            act = activity[var]
+            if queued[var] != act:
+                queued[var] = act
+                heapq.heappush(order, (-act, var))
         del trail[boundary:]
         del self._trail_lim[level:]
         self._qhead = len(trail)
 
     def _pick_branch(self):
+        """The unassigned variable of highest activity (ties: lowest
+        index) at its saved phase. Every unassigned variable has an
+        entry at its current activity, so stale entries pop later."""
         order = self._order
+        queued = self._queued
         val = self._val
         phase = self._phase
         while order:
-            _, var = heapq.heappop(order)
+            neg_act, var = heapq.heappop(order)
+            if queued[var] == -neg_act:
+                queued[var] = -1.0
             if val[var << 1] == _UNASSIGNED:
                 return (var << 1) if phase[var] else (var << 1) | 1
         return _NO_CREF
@@ -698,21 +715,19 @@ class Solver:
     # ------------------------------------------------------------------
     # Activities
     # ------------------------------------------------------------------
-    def _bump_var(self, var):
-        self._activity[var] += self._var_inc
-        if self._activity[var] > 1e100:
-            self._rescale_var_activity()
-        if self._val[var << 1] == _UNASSIGNED:
-            heapq.heappush(self._order, (-self._activity[var], var))
-
     def _rescale_var_activity(self):
+        activity, queued, val = self._activity, self._queued, self._val
+        order = []
         for var in range(1, self._num_vars + 1):
-            self._activity[var] *= 1e-100
+            act = activity[var] = activity[var] * 1e-100
+            if val[var << 1] == _UNASSIGNED:
+                queued[var] = act
+                order.append((-act, var))
+            else:
+                queued[var] = -1.0
         self._var_inc *= 1e-100
-        self._order = [(-self._activity[var], var)
-                       for var in range(1, self._num_vars + 1)
-                       if self._val[var << 1] == _UNASSIGNED]
-        heapq.heapify(self._order)
+        heapq.heapify(order)
+        self._order = order
 
     def _bump_clause(self, cref):
         cla_act = self._cla_act

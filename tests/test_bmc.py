@@ -1,14 +1,22 @@
 """Tests for bounded equivalence checking."""
 
+import functools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import load_circuit
+from repro.attacks import bmc
 from repro.attacks.bmc import bounded_equivalence
+from repro.attacks.seq_sat import attack_locked_circuit
 from repro.cnf import encode, miter_different_outputs
+from repro.core import TriLockConfig, lock
 from repro.core.keys import KeySequence
+from repro.core.reencode import CODEC_VARIANTS
 from repro.errors import AttackError
 from repro.netlist import GateOp, Netlist, merged
+from repro.netlist.builder import CutBuilder
 from repro.sat import Solver, make_backend
 from repro.sim import SequentialSimulator
 from repro.bench.iscas import load_embedded
@@ -226,3 +234,150 @@ class TestFoldedMatchesWholeProduct:
             list(wrong.vectors), solver=spy)
         assert not result.equivalent
         assert spy.solve_calls == 1
+
+
+# ----------------------------------------------------------------------
+# Cut hashing: re-encoded (S > 0) correct keys proved without a solver
+# ----------------------------------------------------------------------
+#: Host -> (circuit factory, S); s27's three registers hold one pair.
+REENCODED_HOSTS = {
+    "s27": (lambda: load_embedded("s27"), 1),
+    "b12": (lambda: load_circuit("suite:b12?scale=0.08&seed=0"), 10),
+    "synth120": (lambda: load_circuit(
+        "synth?gates=120&ffs=8&pis=4&pos=3&seed=0"), 2),
+}
+CODEC_CHOICES = [("sum_diff",), ("diff_sum",), ("onehot3",), CODEC_VARIANTS]
+
+
+@functools.lru_cache(maxsize=None)
+def reencoded_lock(host, codecs, seed):
+    factory, s_pairs = REENCODED_HOSTS[host]
+    locked = lock(factory(), TriLockConfig(
+        kappa_s=1, kappa_f=1, alpha=0.6, s_pairs=s_pairs,
+        codec_variants=codecs, seed=seed))
+    assert locked.reencoded_pairs
+    return locked
+
+
+def check_depth(locked):
+    """seq-sat's first check depth: b* + kappa + 4."""
+    return locked.config.kappa_s + locked.config.kappa + 4
+
+
+def structural_only(monkeypatch):
+    """Skip the cut step: every structurally differing pair goes to the
+    solver, as before the step existed."""
+    monkeypatch.setattr(bmc, "_cut_residue", lambda residual, pairs: pairs)
+
+
+class TestCutProofs:
+    @pytest.mark.parametrize("host", sorted(REENCODED_HOSTS))
+    @pytest.mark.parametrize("codecs", CODEC_CHOICES,
+                             ids=["sum_diff", "diff_sum", "onehot3", "cycled"])
+    def test_correct_key_needs_no_solver(self, codecs, host, monkeypatch):
+        """Over three lock seeds: no solve, and the cuts meet every pair
+        that structural hashing leaves (some seeds leave none)."""
+        residues = []
+        residue = bmc._cut_residue
+
+        def spy(residual, pairs):
+            left = residue(residual, pairs)
+            residues.append((len(pairs), len(left)))
+            return left
+
+        monkeypatch.setattr(bmc, "_cut_residue", spy)
+        for seed in range(3):
+            locked = reencoded_lock(host, codecs, seed)
+            solver = SpySolver()
+            result = bounded_equivalence(
+                locked.original, locked.netlist, check_depth(locked),
+                prefix_vectors=locked.key_vectors(), solver=solver)
+            assert result.equivalent and result.counterexample is None
+            assert result.solver_stats["solve_calls"] == 0
+            assert solver.solve_calls == 0
+        assert residues and all(pairs > 0 and left == 0
+                                for pairs, left in residues)
+
+    def test_b12_kappa_s_2_at_s30(self):
+        locked = lock(REENCODED_HOSTS["b12"][0](), TriLockConfig(
+            kappa_s=2, kappa_f=1, alpha=0.6, s_pairs=30, seed=4))
+        result = bounded_equivalence(
+            locked.original, locked.netlist, check_depth(locked),
+            prefix_vectors=locked.key_vectors())
+        assert result.equivalent
+        assert result.solver_stats["solve_calls"] == 0
+
+    @pytest.mark.parametrize("host,codecs", [
+        ("s27", CODEC_VARIANTS), ("b12", ("sum_diff",)),
+        ("synth120", ("onehot3",))])
+    def test_wrong_keys_keep_the_structural_verdict(self, host, codecs,
+                                                     monkeypatch):
+        """Every one-bit flip of the key is still told apart, with the
+        counterexample a check without the cut step finds."""
+        locked = reencoded_lock(host, codecs, 1)
+        kappa, width = locked.config.kappa, locked.key.width
+        depth = check_depth(locked)
+        prefixes = [list(KeySequence.from_int(locked.key.as_int ^ 1 << flip,
+                                              kappa, width).vectors)
+                    for flip in range(kappa * width)]
+
+        def check(prefix):
+            result = bounded_equivalence(locked.original, locked.netlist,
+                                         depth, prefix_vectors=prefix)
+            return result.equivalent, result.counterexample
+
+        with_cuts = [check(prefix) for prefix in prefixes]
+        structural_only(monkeypatch)
+        assert with_cuts == [check(prefix) for prefix in prefixes]
+        for prefix, (equivalent, counterexample) in zip(prefixes, with_cuts):
+            assert not equivalent
+            assert_diverges(locked.original, locked.netlist, prefix,
+                            counterexample)
+
+
+class TestCutBuilderStaysOffTheOtherPaths:
+    @staticmethod
+    def _count_builds(monkeypatch):
+        """The netlist name of every :class:`CutBuilder` built."""
+        builds = []
+        init = CutBuilder.__init__
+
+        def counted(self, netlist, *args, **kwargs):
+            builds.append(netlist.name)
+            init(self, netlist, *args, **kwargs)
+
+        monkeypatch.setattr(CutBuilder, "__init__", counted)
+        return builds
+
+    def test_s0_attack_builds_none(self, monkeypatch):
+        """A whole seq-sat attack on an S=0 lock: the attack view, every
+        DIP pin, and the correct key's check, which hashes
+        structurally."""
+        locked = locked_factory(kappa_s=2, s_pairs=0, seed=3)
+        builds = self._count_builds(monkeypatch)
+        outcome = attack_locked_circuit(locked)
+        assert outcome.success and outcome.n_dips > 0
+        assert builds == []
+
+    def test_s_above_0_attack_builds_one_for_its_key_check(self,
+                                                           monkeypatch):
+        """On an S=1 lock, only the recovered key's BMC check re-folds
+        through cuts; the attack view and the pins stay structural."""
+        locked = reencoded_lock("s27", ("sum_diff",), 0)
+        builds = self._count_builds(monkeypatch)
+        outcome = attack_locked_circuit(locked)
+        assert outcome.success and outcome.n_dips > 0
+        assert builds == ["bmc_cuts"]
+
+    def test_wrong_keys_split_by_simulation_skip_the_re_fold(self,
+                                                             monkeypatch):
+        locked = reencoded_lock("b12", ("sum_diff",), 1)
+        kappa, width = locked.config.kappa, locked.key.width
+        builds = self._count_builds(monkeypatch)
+        for flip in range(kappa * width):
+            wrong = KeySequence.from_int(locked.key.as_int ^ 1 << flip,
+                                         kappa, width)
+            assert not bounded_equivalence(
+                locked.original, locked.netlist, check_depth(locked),
+                prefix_vectors=list(wrong.vectors))
+        assert builds == []

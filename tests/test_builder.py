@@ -6,12 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.reencode import CODEC_VARIANTS
 from repro.core.rivals import lock_sublock
 from repro.errors import NetlistError
 from repro.netlist import GateOp, LogicBuilder, Netlist
 from repro.netlist.analysis import constant_output_indices
+from repro.netlist.builder import CutBuilder
+from repro.netlist.transform import InputSpecializer
+from repro.sim import CombSimulator
 
 from tests.conftest import _mid_circuit
+from tests.test_codec_variants import codec_harness
 from tests.util import reference_eval
 
 
@@ -236,3 +241,104 @@ class TestSequentialHelpers:
         q = b.flop(a, name="my_q")
         assert q == "my_q"
         assert netlist.flop("my_q").d == a
+
+
+# ----------------------------------------------------------------------
+# CutBuilder: functional hashing over cuts of at most four nets
+# ----------------------------------------------------------------------
+_WIDE = {GateOp.AND, GateOp.NAND, GateOp.OR, GateOp.NOR}
+
+
+@st.composite
+def reconvergent_netlists(draw):
+    """Random combinational netlists rich in what cuts can merge:
+    gates mostly read the last few nets (reconvergent fan-in), repeat
+    inputs, negate the gate just before them (double negations), and
+    include constants, every op, and AND/OR-family gates of up to 7
+    inputs."""
+    netlist = Netlist("random")
+    pool = [netlist.add_input(f"i{k}") for k in range(draw(st.integers(1, 5)))]
+    for index in range(draw(st.integers(1, 30))):
+        op = draw(st.sampled_from(list(GateOp)))
+        window = pool[-6:] if draw(st.booleans()) else pool
+        if op in (GateOp.CONST0, GateOp.CONST1):
+            srcs = []
+        elif op in (GateOp.NOT, GateOp.BUF):
+            srcs = [pool[-1] if draw(st.booleans())
+                    else draw(st.sampled_from(window))]
+        else:
+            srcs = draw(st.lists(st.sampled_from(window), min_size=2,
+                                 max_size=7 if op in _WIDE else 3))
+        pool.append(netlist.add_gate(f"g{index}", op, srcs))
+    for net in draw(st.lists(st.sampled_from(pool), min_size=1,
+                             max_size=6)):
+        netlist.add_output(net)
+    return netlist.validate()
+
+
+def exhaustive_words(nets):
+    """One word per net enumerating every assignment (pattern m sets
+    net k to bit k of m); returns ``(words, n_patterns)``."""
+    n_patterns = 1 << len(nets)
+    words = {}
+    for k, net in enumerate(nets):
+        words[net] = sum(1 << m for m in range(n_patterns) if m >> k & 1)
+    return words, n_patterns
+
+
+def cut_folded(netlist, max_arity=4):
+    """``netlist``'s outputs re-folded through a :class:`CutBuilder`."""
+    folded = Netlist("folded")
+    mapping = {net: folded.add_input(net) for net in netlist.inputs}
+    InputSpecializer(netlist).fold(CutBuilder(folded, max_arity=max_arity),
+                                   mapping)
+    for net in netlist.outputs:
+        folded.add_output(mapping[net])
+    return folded.validate()
+
+
+class TestCutBuilder:
+    @given(netlist=reconvergent_netlists(), max_arity=st.integers(2, 4))
+    @settings(max_examples=200, deadline=None)
+    def test_fold_evaluates_like_the_original(self, netlist, max_arity):
+        folded = cut_folded(netlist, max_arity)
+        words, n_patterns = exhaustive_words(netlist.inputs)
+        assert CombSimulator(folded).evaluate_outputs(words, n_patterns) \
+            == CombSimulator(netlist).evaluate_outputs(words, n_patterns)
+
+    def test_equal_functions_share_one_net(self):
+        netlist, _, (a, b) = fresh_builder(2)
+        cuts = CutBuilder(netlist)
+        xor = cuts.xor_(a, b)
+        assert cuts.or_(cuts.and_(a, cuts.not_(b)),
+                        cuts.and_(cuts.not_(a), b)) == xor
+        assert cuts.nand_(cuts.nand_(a, cuts.not_(b)),
+                          cuts.nand_(cuts.not_(a), b)) == xor
+        assert cuts.and_(a, cuts.not_(a)) == cuts.const(0)
+        assert cuts.or_(cuts.and_(a, b), cuts.and_(a, cuts.not_(b))) == a
+        assert cuts.and_(cuts.or_(a, b), cuts.or_(cuts.not_(a),
+                                                  cuts.not_(b))) == xor
+        assert cuts.xor_(a, a) == cuts.const(0)
+        assert cuts.not_(cuts.or_(cuts.and_(a, b),
+                                  cuts.and_(a, cuts.not_(b)))) \
+            == cuts.not_(a)
+
+    @pytest.mark.parametrize("variant", CODEC_VARIANTS)
+    @pytest.mark.parametrize("builder_class", [LogicBuilder, CutBuilder])
+    def test_decoder_of_encoder_is_the_state(self, variant, builder_class):
+        """One cycle of a re-encoded register pair: the decoder of the
+        encoder is the state it encoded, which cuts see and structural
+        hashing does not."""
+        harness, regs = codec_harness(variant)
+        folder = InputSpecializer(harness)
+        unrolled = Netlist("unrolled")
+        state = [unrolled.add_input(net) for net in harness.inputs]
+        builder = builder_class(unrolled)
+        mapping = dict(zip(harness.inputs, state))
+        mapping.update((q, unrolled.add_input(q)) for q in regs)
+        folder.fold(builder, mapping)
+        encoded = {q: mapping[harness.flop(q).d] for q in regs}
+        mapping = dict(zip(harness.inputs, state), **encoded)
+        folder.fold(builder, mapping)
+        decoded = [mapping[net] for net in harness.outputs]
+        assert (decoded == state) is (builder_class is CutBuilder)

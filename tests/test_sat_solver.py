@@ -1,5 +1,6 @@
 """Tests for the CDCL solver, cross-checked against DPLL and brute force."""
 
+import heapq
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from repro.sat import (
     dpll_solve,
     enumerate_models,
 )
+from repro.sat.solver import _NO_CREF, _UNASSIGNED
 
 from tests.util import random_comb_netlist
 
@@ -233,3 +235,140 @@ class TestLuby:
 
         expected = [1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8]
         assert [_luby(i) for i in range(15)] == expected
+
+
+# ----------------------------------------------------------------------
+# The VSIDS heap keeps one live entry per variable. Checked against a
+# test-local copy of the heap it replaced, which re-pushed every
+# variable on each backtrack and so held many copies of each.
+# ----------------------------------------------------------------------
+class ReferenceHeapSolver(Solver):
+    """:class:`Solver` with the old ``_cancel_until``, ``_pick_branch``
+    and ``_rescale_var_activity``: they never read the live-entry marks,
+    so its ``_analyze`` pushes on every bump of an unassigned variable,
+    as before."""
+
+    def _cancel_until(self, level):
+        if len(self._trail_lim) <= level:
+            return
+        boundary = self._trail_lim[level]
+        trail = self._trail
+        for k in range(len(trail) - 1, boundary - 1, -1):
+            enc = trail[k]
+            var = enc >> 1
+            self._phase[var] = not enc & 1
+            self._val[enc] = self._val[enc ^ 1] = _UNASSIGNED
+            self._reason[var] = _NO_CREF
+            heapq.heappush(self._order, (-self._activity[var], var))
+        del trail[boundary:]
+        del self._trail_lim[level:]
+        self._qhead = len(trail)
+
+    def _pick_branch(self):
+        while self._order:
+            _, var = heapq.heappop(self._order)
+            if self._val[var << 1] == _UNASSIGNED:
+                return (var << 1) if self._phase[var] else (var << 1) | 1
+        return _NO_CREF
+
+    def _rescale_var_activity(self):
+        for var in range(1, self._num_vars + 1):
+            self._activity[var] *= 1e-100
+        self._var_inc *= 1e-100
+        self._order = [(-self._activity[var], var)
+                       for var in range(1, self._num_vars + 1)
+                       if self._val[var << 1] == _UNASSIGNED]
+        heapq.heapify(self._order)
+
+
+def assert_one_live_entry(solver):
+    """Every unassigned variable has an entry at its current activity,
+    the marks name exactly those entries, and no entry repeats."""
+    entries = set(solver._order)
+    assert len(entries) == len(solver._order)
+    for var in range(1, solver.num_vars + 1):
+        act = solver._activity[var]
+        if solver._queued[var] >= 0.0:
+            assert (-solver._queued[var], var) in entries
+        if solver._val[var << 1] == _UNASSIGNED:
+            assert solver._queued[var] == act, var
+
+
+class TestHeapOneLiveEntry:
+    @given(seed=st.integers(0, 10_000), var_decay=st.sampled_from([0.95, 0.1]),
+           rounds=st.integers(1, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_search_is_byte_identical(self, seed, var_decay, rounds):
+        """Same answers, models, decisions, conflicts and propagations
+        over incremental solves with assumptions and added clauses;
+        ``var_decay=0.1`` rescales the activities every ~100 conflicts."""
+        rng = random.Random(seed)
+        num_vars = rng.randint(5, 40)
+        cnf = random_cnf(rng, num_vars, rng.randint(num_vars, 5 * num_vars),
+                         max_width=3)
+        solvers = [cls(var_decay=var_decay)
+                   for cls in (Solver, ReferenceHeapSolver)]
+        for solver in solvers:
+            solver.add_cnf(cnf)
+        for _ in range(rounds):
+            assumptions = [rng.choice((var, -var))
+                           for var in rng.sample(range(1, num_vars + 1),
+                                                 rng.randint(0, 3))]
+            answers = [solver.solve(assumptions) for solver in solvers]
+            assert answers[0] == answers[1]
+            assert solvers[0]._model == solvers[1]._model
+            assert solvers[0].stats() == solvers[1].stats()
+            assert_one_live_entry(solvers[0])
+            extra = [rng.choice((var, -var))
+                     for var in rng.sample(range(1, num_vars + 1), 3)]
+            added = [solver.add_clause(extra) for solver in solvers]
+            assert added[0] == added[1]
+
+    def test_rescale_on_pigeonhole(self):
+        """PHP(6,5) at ``var_decay=0.1`` rescales the activities; the
+        heap stays one entry per variable and the search is unchanged."""
+        stats = []
+        for cls in (Solver, ReferenceHeapSolver):
+            solver = cls(var_decay=0.1)
+            holes, pigeons = 5, 6
+
+            def var(p, h):
+                return p * holes + h + 1
+
+            solver.ensure_vars(pigeons * holes)
+            for p in range(pigeons):
+                solver.add_clause([var(p, h) for h in range(holes)])
+            for h in range(holes):
+                for p in range(pigeons):
+                    for q in range(p + 1, pigeons):
+                        solver.add_clause([-var(p, h), -var(q, h)])
+            rescales = []
+            rescale = solver._rescale_var_activity
+            solver._rescale_var_activity = lambda: rescales.append(rescale())
+            assert solver.solve() is False
+            stats.append(solver.stats())
+            assert rescales
+            if cls is Solver:
+                assert_one_live_entry(solver)
+        assert stats[0] == stats[1]
+
+    def test_interrupt_at_a_decision_keeps_the_branch_queued(self):
+        """An interrupt between picking a branch and assigning it must
+        leave that variable in the heap, or it cannot be branched on
+        until its next bump."""
+        rng = random.Random(5)
+        cnf = Cnf(200)
+        for _ in range(400):
+            cnf.add_clause([rng.choice((var, -var))
+                            for var in rng.sample(range(1, 201), 3)])
+        solver = Solver()
+        solver.add_cnf(cnf)
+        solver.interrupt = lambda: solver.num_decisions >= 64
+        assert solver.solve() is None
+        assert solver.num_decisions == 64
+        assert_one_live_entry(solver)
+        solver.interrupt = None
+        if solver.solve():
+            assert cnf.evaluate(solver.model())
+        else:
+            assert dpll_solve(cnf) is None

@@ -1,15 +1,24 @@
 """Tests for STG extraction and signature analysis."""
 
+import sys
+
 import networkx as nx
 import pytest
 
-from repro.attacks.stg import extract_stg, stg_report, terminal_sccs
+from repro.attacks import stg
+from repro.attacks.stg import (
+    _reachable_under_key,
+    extract_stg,
+    stg_report,
+    terminal_sccs,
+)
 from repro.core import TriLockConfig, lock
 from repro.core.baselines import lock_sink_cluster
 from repro.errors import AttackError
 from repro.netlist import GateOp, Netlist
 from repro.bench.iscas import load_embedded
 
+from tests.conftest import locked_factory
 from tests.util import reference_sequential_run
 
 
@@ -99,3 +108,30 @@ class TestTriLockSignature:
             kappa_s=1, kappa_f=1, alpha=0.6, seed=2))
         report = stg_report(locked)
         assert report.wrong_key_only_states > 0
+
+
+class TestNoFlopTableCopies:
+    def test_one_copy_per_walk(self, monkeypatch):
+        """``Netlist.flops`` returns a copy of the whole flop table; a
+        walk takes one, not one per state and flop. Copies the
+        simulator takes once when it compiles are not counted."""
+        locked = locked_factory(kappa_s=2)
+        copies = []
+        table = Netlist.flops.fget
+
+        def counting_view(netlist):
+            if sys._getframe(1).f_code.co_filename == stg.__file__:
+                copies.append(netlist)
+            return table(netlist)
+
+        monkeypatch.setattr(Netlist, "flops", property(counting_view))
+        graph = extract_stg(locked.netlist)
+        assert len(copies) <= 1
+        copies.clear()
+        reachable = _reachable_under_key(locked.netlist,
+                                         locked.key_vectors(), graph)
+        assert len(copies) <= 1
+        monkeypatch.undo()
+        assert (locked.netlist.num_flops(), graph.number_of_nodes()) \
+            == (18, 562)
+        assert reachable <= set(graph.nodes)
