@@ -74,9 +74,11 @@ bench:
 # Attack hot-path microbench: arena CDCL conflicts/sec on PHP(8,7),
 # word-packed fig3 error tables and fig7 FC vs per-pair and per-vector
 # loops, the Fig. 7 cell's simulation program (slots, compile ms,
-# ns/gate/cycle), the BMC fold (ns per folded gate, exact gate and CSE
-# hit counts), the cut-hashed proof of Table I's s38584 S=10 key (exact
-# pair counts, no solver call), end-to-end comb_sat phases. Writes
+# ns/gate/cycle), the BMC window fold (ns per folded gate, exact gate
+# and CSE hit counts), bmc_induction_proof (the bmc-verify key proved by
+# one-step induction: exactly 5 folds, no solver call), the cut-hashed
+# proof of Table I's s38584 S=10 key (exact pair counts, no solver
+# call), end-to-end comb_sat phases. Writes
 # benchmarks/artifacts/BENCH_solver.json.
 bench-solver:
 	$(PY) -m pytest benchmarks/bench_solver.py -q

@@ -15,9 +15,12 @@ Acceptance bars:
   third of their netlist's nets in slots, with the outputs of the
   program that keeps every net (compile time, ns per gate per cycle and
   slot counts are recorded);
-* the BMC fold of the ``bmc-verify`` cell under its correct key needs no
-  solver and emits exactly 15,671 new gates with 17,070 CSE hits (ns per
-  folded gate is recorded);
+* the BMC window fold of the ``bmc-verify`` cell under its correct key
+  (the induction step turned off) needs no solver and emits exactly
+  15,671 new gates with 17,070 CSE hits (ns per folded gate is
+  recorded);
+* the same check, induction on, is proved in 5 folds with no solver
+  call (seconds are recorded);
 * the correct key of Table I's s38584 κs=1 S=10 lock leaves 1,274
   structurally differing output pairs, the cut re-fold meets all of
   them, and the proof makes no solver call (seconds are recorded);
@@ -48,6 +51,7 @@ from repro.bench.synth import generate_circuit
 from repro.core import RegisterGraph, TriLockConfig, lock
 from repro.core.error_tables import measured_error_table
 from repro.netlist import LogicBuilder
+from repro.netlist.transform import InputSpecializer
 from repro.metrics import (
     PAPER_FC_SAMPLES,
     average_simulated_fc,
@@ -410,19 +414,27 @@ def test_sim_program(artifact_sink, bench_json_merge):
                   "ks=4, kf=2)\n" + "\n".join(lines) + "\n")
 
 
-def test_fold_per_gate(artifact_sink, bench_json_merge, monkeypatch):
-    """The fold behind every DIP pin and BMC proof, on the benchmark's
-    ``bmc-verify`` cell: ``bounded_equivalence`` of the κs=1, κf=1,
-    α=0.6 lock (seed 0) of the 3,000-gate synth host against its
-    original, under the correct key at depth 7 (seq-sat's first check
-    depth). A recorded row, not a race: ns per folded gate (one
-    replay of one needed gate, best of three). Bars: the proof needs
-    no solver, and the builder emits exactly 15,671 new gates and
-    finds 17,070 shared ones (its CSE hits)."""
+def _bmc_verify_lock():
+    """The benchmark's ``bmc-verify`` lock: the κs=1, κf=1, α=0.6 lock
+    (seed 0) of the 3,000-gate synth host."""
     circuit = load_circuit("synth?gates=3000&ffs=24&pis=6&pos=4&seed=0")
-    locked = SCHEMES.get("trilock").lock(circuit, seed=0, kappa_s=1,
-                                         kappa_f=1, alpha=0.6)
+    return SCHEMES.get("trilock").lock(circuit, seed=0, kappa_s=1,
+                                       kappa_f=1, alpha=0.6)
+
+
+def test_fold_per_gate(artifact_sink, bench_json_merge, monkeypatch):
+    """The fold behind every DIP pin and BMC window, on the benchmark's
+    ``bmc-verify`` cell: ``bounded_equivalence`` of its lock against its
+    original, under the correct key at depth 7 (seq-sat's first check
+    depth), with the induction step turned off so the check folds the
+    whole window, as it does for wrong keys and re-encoded locks. A
+    recorded row, not a race: ns per folded gate (one replay of one
+    needed gate, best of three). Bars: the proof needs no solver, and
+    the builder emits exactly 15,671 new gates and finds 17,070 shared
+    ones (its CSE hits)."""
+    locked = _bmc_verify_lock()
     prefix, depth = locked.key_vectors(), 7
+    monkeypatch.setattr(bmc, "_proved_by_induction", lambda *args: False)
 
     def needed(netlist):
         roots = [*netlist.outputs,
@@ -468,10 +480,54 @@ def test_fold_per_gate(artifact_sink, bench_json_merge, monkeypatch):
     })
     artifact_sink(
         "solver_fold_per_gate",
-        f"BMC fold of the bmc-verify cell under its correct key, depth "
-        f"{depth}\n{folded} gates folded in {seconds * 1e3:.1f} ms CPU: "
+        f"BMC window fold of the bmc-verify cell under its correct key "
+        f"(induction off), depth {depth}\n{folded} gates folded in "
+        f"{seconds * 1e3:.1f} ms CPU: "
         f"{ns_per_gate:.0f} ns per folded gate; {counts['new_gates']} new "
         f"gates, {counts['cse_hits']} CSE hits\n")
+
+
+def test_bmc_induction_proof(artifact_sink, bench_json_merge, monkeypatch):
+    """``test_fold_per_gate``'s check with the induction step on: the
+    2-cycle key prefix, one symbolic cycle of the original and two of
+    the lock (the first frees the lock registers that move) prove the
+    key at every depth, where the window fold takes 2 + 7 + 7 folds.
+    Bars: equivalent, exactly 5 folds, no solver call. Records the best
+    of three process times."""
+    locked = _bmc_verify_lock()
+    prefix, depth = locked.key_vectors(), 7
+    folds = []
+    fold = InputSpecializer.fold
+
+    def counted(self, builder, mapping):
+        folds.append(self)
+        fold(self, builder, mapping)
+
+    monkeypatch.setattr(InputSpecializer, "fold", counted)
+    seconds = float("inf")
+    for _ in range(_REPEATS):
+        folds.clear()
+        start = time.process_time()
+        result = bounded_equivalence(locked.original, locked.netlist, depth,
+                                     prefix_vectors=prefix)
+        seconds = min(seconds, time.process_time() - start)
+        assert result.equivalent and result.solver_stats["solve_calls"] == 0
+        assert len(folds) == 5, len(folds)
+    bench_json_merge("solver", {
+        "bmc_induction_proof": {
+            "instance": "bmc-verify cell: synth gates=3000 ffs=24 pis=6 "
+                        "pos=4, trilock ks=1 kf=1 alpha=0.6 seed=0, "
+                        "correct key, depth 7",
+            "folds": len(folds),
+            "solve_calls": 0,
+            "seconds": seconds,
+        },
+    })
+    artifact_sink(
+        "solver_bmc_induction_proof",
+        f"Correct-key BMC of the bmc-verify lock, depth {depth}, by "
+        f"induction\n{len(folds)} folds, 0 solver calls: "
+        f"{seconds * 1e3:.1f} ms CPU\n")
 
 
 def test_bmc_cut_proof(artifact_sink, bench_json_merge, monkeypatch):

@@ -96,34 +96,40 @@ class InputSpecializer:
         cycle's flop Qs mapped to the previous cycle's D images, unrolls
         it folded and shared.
         """
-        and_, or_, xor_, not_ = (builder._and, builder._or, builder._xor,
-                                 builder.not_)
-        AND, NAND, OR, NOR, XOR, XNOR, NOT, BUF = (
-            GateOp.AND, GateOp.NAND, GateOp.OR, GateOp.NOR, GateOp.XOR,
-            GateOp.XNOR, GateOp.NOT, GateOp.BUF)
-        for net, gate in self._fold_order:
-            op = gate.op
-            if op is AND:
-                mapping[net] = and_([mapping[src] for src in gate.inputs])
-            elif op is NOT:
-                mapping[net] = not_(mapping[gate.inputs[0]])
-            elif op is OR:
-                mapping[net] = or_([mapping[src] for src in gate.inputs])
-            elif op is NAND:
-                mapping[net] = not_(and_([mapping[src]
-                                          for src in gate.inputs]))
-            elif op is NOR:
-                mapping[net] = not_(or_([mapping[src]
-                                         for src in gate.inputs]))
-            elif op is XOR:
-                mapping[net] = xor_([mapping[src] for src in gate.inputs])
-            elif op is XNOR:
-                mapping[net] = not_(xor_([mapping[src]
-                                          for src in gate.inputs]))
-            elif op is BUF:
-                mapping[net] = mapping[gate.inputs[0]]
-            else:  # CONST0 / CONST1
-                mapping[net] = builder.const(op is GateOp.CONST1)
+        _fold(self._fold_order, builder, mapping)
+
+
+def _fold(order, builder, mapping):
+    """:meth:`InputSpecializer.fold` over ``order``, a topological list
+    of ``(net, gate)`` pairs."""
+    and_, or_, xor_, not_ = (builder._and, builder._or, builder._xor,
+                             builder.not_)
+    AND, NAND, OR, NOR, XOR, XNOR, NOT, BUF = (
+        GateOp.AND, GateOp.NAND, GateOp.OR, GateOp.NOR, GateOp.XOR,
+        GateOp.XNOR, GateOp.NOT, GateOp.BUF)
+    for net, gate in order:
+        op = gate.op
+        if op is AND:
+            mapping[net] = and_([mapping[src] for src in gate.inputs])
+        elif op is NOT:
+            mapping[net] = not_(mapping[gate.inputs[0]])
+        elif op is OR:
+            mapping[net] = or_([mapping[src] for src in gate.inputs])
+        elif op is NAND:
+            mapping[net] = not_(and_([mapping[src]
+                                      for src in gate.inputs]))
+        elif op is NOR:
+            mapping[net] = not_(or_([mapping[src]
+                                     for src in gate.inputs]))
+        elif op is XOR:
+            mapping[net] = xor_([mapping[src] for src in gate.inputs])
+        elif op is XNOR:
+            mapping[net] = not_(xor_([mapping[src]
+                                      for src in gate.inputs]))
+        elif op is BUF:
+            mapping[net] = mapping[gate.inputs[0]]
+        else:  # CONST0 / CONST1
+            mapping[net] = builder.const(op is GateOp.CONST1)
 
 
 def sweep_dead_gates(netlist):

@@ -647,16 +647,6 @@ class Solver:
     # ------------------------------------------------------------------
     # Assignment bookkeeping
     # ------------------------------------------------------------------
-    def _decision_level(self):
-        return len(self._trail_lim)
-
-    def _new_level(self):
-        self._trail_lim.append(len(self._trail))
-
-    def _value(self, lit):
-        """Truth of a signed DIMACS literal under the current assignment."""
-        return self._val[(lit << 1) if lit > 0 else ((-lit) << 1) | 1]
-
     def _enqueue(self, enc, reason_cref):
         val = self._val
         current = val[enc]

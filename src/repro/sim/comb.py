@@ -58,16 +58,16 @@ _STEPS = {
 }
 
 
-def _compile(netlist, keep):
-    """``(program, slot_of, n_slots)`` for a validated ``netlist``.
+def _compile(netlist, sources, keep):
+    """``(program, slot_of, n_slots)`` for a validated ``netlist`` whose
+    primary inputs then flop Qs are ``sources``.
 
     ``slot_of`` maps every net to the slot it was written to; a reused
     slot's earlier nets keep stale entries, so callers read only sources
     and pinned nets through it.
     """
     gates = netlist.gates
-    slot_of = {net: slot
-               for slot, net in enumerate([*netlist.inputs, *netlist.flops])}
+    slot_of = {net: slot for slot, net in enumerate(sources)}
     pinned = set(slot_of).union(netlist.outputs,
                                 gates if keep is None else keep)
     # Reads left per net; a plain dict, whose item access in the loop
@@ -115,7 +115,8 @@ class CombSimulator:
         netlist.validate()
         self.netlist = netlist
         self._sources = [*netlist.inputs, *netlist.flops]
-        self._program, slot_of, self._n_slots = _compile(netlist, keep)
+        self._program, slot_of, self._n_slots = _compile(
+            netlist, self._sources, keep)
         if keep is not None:  # drop the stale entries of reused slots
             try:
                 slot_of = {net: slot_of[net] for net in

@@ -1,12 +1,13 @@
 """Tests for bounded equivalence checking."""
 
 import functools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import load_circuit
+from repro.api import SCHEMES, load_circuit
 from repro.attacks import bmc
 from repro.attacks.bmc import bounded_equivalence
 from repro.attacks.seq_sat import attack_locked_circuit
@@ -17,6 +18,7 @@ from repro.core.reencode import CODEC_VARIANTS
 from repro.errors import AttackError
 from repro.netlist import GateOp, Netlist, merged
 from repro.netlist.builder import CutBuilder
+from repro.netlist.transform import InputSpecializer
 from repro.sat import Solver, make_backend
 from repro.sim import SequentialSimulator
 from repro.bench.iscas import load_embedded
@@ -36,6 +38,31 @@ def broken_copy(netlist, victim_output_index=0):
     outputs[victim_output_index] = inverted
     dup._outputs = outputs  # test-only surgery
     return dup
+
+
+def locked_copy(netlist, seed):
+    """A toy lock of ``netlist``: 1-3 extra flops, each loading an AND or
+    OR of itself and random nets, so a prefix may latch it; the first is
+    ANDed into an output, and sometimes one gates a shared flop's next
+    state."""
+    rng = random.Random(seed)
+    dut = netlist.copy(name=netlist.name + "_locked")
+    shared = list(dut.flops)
+    extras = [f"x{index}" for index in range(rng.randint(1, 3))]
+    pool = [*dut.inputs, *shared, *extras]
+    for q in extras:
+        d = dut.add_gate(q + "_d", rng.choice((GateOp.AND, GateOp.OR)),
+                         [q, *rng.choices(pool, k=rng.randint(1, 2))])
+        dut.add_flop(q, d, init=rng.random() < 0.5)
+    position = rng.randrange(len(dut.outputs))
+    dut.set_output(position, dut.add_gate(
+        "x_out", GateOp.AND, (dut.outputs[position], extras[0])))
+    if rng.random() < 0.5:
+        q = rng.choice(shared)
+        dut.replace_flop_d(q, dut.add_gate(
+            "x_gate", rng.choice((GateOp.AND, GateOp.OR)),
+            (dut.flop(q).d, rng.choice(extras))))
+    return dut.validate()
 
 
 class TestEquivalentPairs:
@@ -187,16 +214,20 @@ class SpySolver:
 
 class TestFoldedMatchesWholeProduct:
     @given(seed=st.integers(0, 10_000),
-           variant=st.sampled_from(["self", "broken", "other"]),
+           variant=st.sampled_from(["self", "broken", "other", "locked"]),
            depth=st.integers(1, 4),
            prefix=st.lists(st.tuples(st.booleans(), st.booleans(),
                                      st.booleans()), max_size=2))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=300, deadline=None)
     def test_random_circuits(self, seed, variant, depth, prefix):
+        """``locked`` duts are toy locks, whose extra flops the induction
+        step holds at the constants a prefix latched, or frees when they
+        move."""
         reference = random_seq_netlist(seed)
         dut = {"self": reference.copy,
                "broken": lambda: broken_copy(reference),
-               "other": lambda: random_seq_netlist(seed + 1)}[variant]()
+               "other": lambda: random_seq_netlist(seed + 1),
+               "locked": lambda: locked_copy(reference, seed)}[variant]()
         assert_agrees_with_whole_product(reference, dut, depth, prefix)
 
     @pytest.mark.parametrize("s_pairs", [0, 4])
@@ -234,6 +265,63 @@ class TestFoldedMatchesWholeProduct:
             list(wrong.vectors), solver=spy)
         assert not result.equivalent
         assert spy.solve_calls == 1
+
+
+# ----------------------------------------------------------------------
+# Induction: S=0 correct keys proved in one symbolic cycle
+# ----------------------------------------------------------------------
+class TestInductiveProof:
+    def test_bmc_verify_lock_in_five_folds(self, monkeypatch):
+        """The benchmark's bmc-verify lock under its correct key, at
+        seq-sat's first check depth: the 2-cycle key prefix, one cycle
+        of the reference and two of the lock (the first frees the lock
+        registers that move), where the window fold took 2 + 7 + 7."""
+        circuit = load_circuit("synth?gates=3000&ffs=24&pis=6&pos=4&seed=0")
+        locked = SCHEMES.get("trilock").lock(circuit, seed=0, kappa_s=1,
+                                             kappa_f=1, alpha=0.6)
+        folds = []
+        fold = InputSpecializer.fold
+
+        def counted(self, builder, mapping):
+            folds.append(self)
+            fold(self, builder, mapping)
+
+        monkeypatch.setattr(InputSpecializer, "fold", counted)
+        solver = SpySolver()
+        result = bounded_equivalence(locked.original, locked.netlist, 7,
+                                     prefix_vectors=locked.key_vectors(),
+                                     solver=solver)
+        assert result.equivalent and result.counterexample is None
+        assert len(folds) == 5
+        assert solver.solve_calls == 0
+
+    def test_fallback_builds_the_same_problem(self, monkeypatch):
+        """Wrong keys fail the step, which leaves the problem netlist
+        exactly as a check without the step builds it."""
+        locked = locked_factory(kappa_s=2, s_pairs=0, seed=3)
+        kappa, width = locked.config.kappa, locked.width
+        problems = []
+        sweep = bmc.sweep_dead_gates
+
+        def recorded(netlist):
+            problems.append((netlist.inputs, list(netlist.gates.items()),
+                             netlist.outputs))
+            return sweep(netlist)
+
+        def check(prefix):
+            problems.clear()
+            result = bounded_equivalence(locked.original, locked.netlist,
+                                         kappa + 6, prefix_vectors=prefix)
+            return result.equivalent, result.counterexample, problems[:]
+
+        monkeypatch.setattr(bmc, "sweep_dead_gates", recorded)
+        prefixes = [list(KeySequence.from_int(locked.key.as_int ^ 1 << flip,
+                                              kappa, width).vectors)
+                    for flip in range(kappa * width)]
+        with_step = [check(prefix) for prefix in prefixes]
+        monkeypatch.setattr(bmc, "_proved_by_induction", lambda *args: False)
+        assert with_step == [check(prefix) for prefix in prefixes]
+        assert all(problems for _, _, problems in with_step)
 
 
 # ----------------------------------------------------------------------

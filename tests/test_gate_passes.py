@@ -449,7 +449,9 @@ class TestCompiledProgram:
         keep = data.draw(st.one_of(
             st.none(), st.lists(st.sampled_from(sorted(netlist.nets())),
                                 max_size=4)))
-        assert _compile(netlist, keep) == reference_compile(netlist, keep)
+        sources = [*netlist.inputs, *netlist.flops]
+        assert _compile(netlist, sources, keep) == \
+            reference_compile(netlist, keep)
 
 
 class TestBuildRcg:
