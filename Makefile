@@ -13,10 +13,10 @@ test:
 smoke:
 	$(PY) -m pytest -q -m smoke
 
-# Attack-engine differential grid (portfolio racing + DIP batching);
-# slow, races real worker processes, excluded from `make smoke`.
+# Attack-engine differential grid: DIP batching on each CDCL
+# configuration, one solver per attack (part of the tier-1 suite too).
 test-attacks:
-	$(PY) -m pytest -q -m portfolio
+	$(PY) -m pytest -q tests/test_dip_batching.py
 
 # Cold campaign (real SAT attack), warm rerun (pure cache hits), then the
 # cache summary — the whole parallel/caching story in three commands.

@@ -1,23 +1,18 @@
 """Campaign-cache and scale-out benchmarks: a cold Table I campaign pays
 for the real SAT attack; the warm rerun is pure content-addressed cache
 hits and must be at least 5x faster while rendering a byte-identical
-table.  Further cells compare the cold single-solver attack against a
-solver portfolio in auto mode, and the local pool against the
-distributed backend over two loopback workers (identical results;
-wall-clocks land in ``BENCH_campaign_scaleout.json``)."""
+table.  Further cells compare the local pool against the distributed
+backend over two loopback workers (identical results; wall-clocks land
+in ``BENCH_campaign_scaleout.json``)."""
 
 import multiprocessing
 import tempfile
 import time
 
-from repro.bench.suite import load_suite_circuit
 from repro.campaign import Campaign, CellSpec, DistributedBackend, \
     PoolBackend
 from repro.campaign.worker import run_worker
-from repro.core import TriLockConfig, lock
 from repro.experiments import table1_sat_resilience
-from repro.metrics import measure_resilience
-from repro.sat import cpu_budget
 
 from conftest import run_once
 
@@ -118,47 +113,6 @@ def test_distributed_two_workers_matches_pool(benchmark, artifact_sink,
         "pool_jobs2_seconds": pool_seconds,
         "distributed_2workers_seconds": distributed_seconds,
     })
-
-
-def test_attack_cell_portfolio_vs_single_solver(benchmark, artifact_sink):
-    """Cold attack cell: a 2-config portfolio in auto worker mode must
-    be no slower than the single-solver baseline.  Auto clamps the race
-    to the CPU budget, so a host with idle cores races for the win
-    while a fully-loaded (or single-core) host degrades to the serial
-    reference solver instead of oversubscribing itself."""
-    netlist = load_suite_circuit("b12", scale=0.08, seed=0)
-    locked = lock(netlist, TriLockConfig(
-        kappa_s=1, kappa_f=1, alpha=0.6, s_pairs=10, seed=0))
-
-    def timed(fn, *args, **kwargs):
-        start = time.perf_counter()
-        value = fn(*args, **kwargs)
-        return value, time.perf_counter() - start
-
-    # Best of two per engine: kills one-off timer noise on loaded boxes.
-    single, first = timed(measure_resilience, locked)
-    _, second = timed(measure_resilience, locked)
-    single_seconds = min(first, second)
-
-    portfolio, first = timed(run_once, benchmark, measure_resilience,
-                             locked, portfolio="race2", attack_jobs=None)
-    _, second = timed(measure_resilience, locked, portfolio="race2",
-                      attack_jobs=None)
-    portfolio_seconds = min(first, second)
-
-    assert single.key_correct and portfolio.key_correct
-    assert portfolio.ndip == single.ndip  # resilience is solver-independent
-    # Only forkable hosts make the bound meaningful: spawn platforms pay
-    # an inherent per-engine worker cold-start this small cell cannot
-    # amortize, so there we just record the numbers.
-    if "fork" in multiprocessing.get_all_start_methods():
-        assert portfolio_seconds <= single_seconds * 1.25  # noise margin
-    artifact_sink(
-        "attack_portfolio",
-        f"attack cell: b12 scale=0.08 ks=1 ({single.ndip} DIPs)\n"
-        f"single solver (cdcl): {single_seconds:.2f}s\n"
-        f"portfolio race2, attack_jobs=auto "
-        f"(cpu budget {cpu_budget()}): {portfolio_seconds:.2f}s\n")
 
 
 def test_campaign_tiered_warm_rerun(benchmark, artifact_sink,

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Knob sweep for the tuned CDCL portfolio members.
+"""Knob sweep for the tuned CDCL configurations.
 
 Grids restart pacing / activity decay / default phase around each of the
 three non-reference configs (``cdcl-agile``, ``cdcl-stable``,
@@ -12,10 +12,12 @@ three non-reference configs (``cdcl-agile``, ``cdcl-stable``,
   host, scored by ``CombSatResult.solve_seconds`` so the oracle and
   encode phases don't pollute the solver signal.
 
-The reference ``cdcl`` config is *never* a sweep target: serial attack
+The reference ``cdcl`` config is *never* a sweep target: default attack
 runs are byte-identical across releases only while its search is, so its
-knobs are frozen.  The portfolio members only race — their DIP sequences
-never feed a serial cache key — so they are free to move.
+knobs are frozen.  The other configs are selected one at a time (an
+attack's ``solver`` param, ``--solver``); retuning one moves the DIP
+walks of the cells that select it, whose cache keys name it, so land a
+retune with a ``CODE_VERSION`` bump.
 
 Usage::
 

@@ -2,20 +2,6 @@
 
 from __future__ import annotations
 
-import argparse
-
-
-def attack_jobs_arg(text):
-    """``--attack-jobs`` value: an int worker count or ``auto`` (clamp a
-    race to the machine's CPU budget — ``repro.sat.cpu_budget``)."""
-    if text == "auto":
-        return None
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer or 'auto', got {text!r}")
-
 
 def add_backend_arguments(parser):
     """The executor-backend flag trio shared by campaign-running CLIs."""

@@ -31,6 +31,7 @@ from repro.attacks.removal import attempt_removal, scc_report
 from repro.attacks.seq_sat import sequential_sat_attack
 from repro.attacks.stg import stg_report
 from repro.core.keys import KeySequence
+from repro.sat import DEFAULT_BACKEND
 
 #: The global attack registry.
 ATTACKS = Registry("attack")
@@ -144,13 +145,11 @@ def register_attack(name, description="", params=None, replace=False):
     return decorate
 
 
-#: Engine knobs shared by the SAT-family attacks (PR 3's portfolio layer).
+#: Engine knobs shared by the SAT-family attacks.
 _ENGINE_PARAMS = {
     "dip_batch": Param("int", 1, "DIPs extracted per miter round"),
-    "portfolio": Param("str", None, "solver portfolio spec "
-                                    "(default/race/race2/all/names)"),
-    "attack_jobs": Param("int", 1, "worker processes racing the portfolio",
-                         aliases=(("auto", None),)),
+    "solver": Param("str", DEFAULT_BACKEND, "registered solver backend "
+                                            "(repro.sat.backend_names)"),
 }
 
 
@@ -192,7 +191,7 @@ def _phase_timing(result):
         **_ENGINE_PARAMS,
     })
 def _attack_seq_sat(locked, oracle, budget, depth, max_depth, check_rounds,
-                    dip_batch, portfolio, attack_jobs):
+                    dip_batch, solver):
     """Success = a verified key was recovered within budget."""
     known_depth = depth if depth is not None else locked.config.kappa_s
     result = sequential_sat_attack(
@@ -200,7 +199,7 @@ def _attack_seq_sat(locked, oracle, budget, depth, max_depth, check_rounds,
         known_depth=known_depth, max_depth=max_depth,
         max_dips=budget.max_dips, time_budget=budget.time_budget,
         reference=locked.original, check_rounds=check_rounds,
-        dip_batch=dip_batch, portfolio=portfolio, attack_jobs=attack_jobs)
+        dip_batch=dip_batch, solver=solver)
     return AttackOutcome(
         attack="seq-sat", success=result.success, seconds=result.seconds,
         metrics=_key_metrics(result, locked),
@@ -218,8 +217,7 @@ def _attack_seq_sat(locked, oracle, budget, depth, max_depth, check_rounds,
                                     "(null = kappa_s)"),
         **_ENGINE_PARAMS,
     })
-def _attack_comb_sat(locked, oracle, budget, depth, dip_batch, portfolio,
-                     attack_jobs):
+def _attack_comb_sat(locked, oracle, budget, depth, dip_batch, solver):
     """Success = a key consistent with the whole attacked window was
     found *and* verifies against the oracle beyond it."""
     known_depth = depth if depth is not None else locked.config.kappa_s
@@ -227,8 +225,7 @@ def _attack_comb_sat(locked, oracle, budget, depth, dip_batch, portfolio,
         locked.netlist, locked.config.kappa, oracle,
         known_depth=known_depth, max_depth=known_depth,
         max_dips=budget.max_dips, time_budget=budget.time_budget,
-        reference=locked.original, dip_batch=dip_batch,
-        portfolio=portfolio, attack_jobs=attack_jobs)
+        reference=locked.original, dip_batch=dip_batch, solver=solver)
     return AttackOutcome(
         attack="comb-sat", success=result.success, seconds=result.seconds,
         metrics=_key_metrics(result, locked),

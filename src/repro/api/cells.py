@@ -45,29 +45,6 @@ def canonical_attack_spec(text):
     return attack.spec(**params)
 
 
-def attack_spec_width(text):
-    """In-cell worker width declared by an attack spec string.
-
-    This is how a matrix cell declares the second dimension of the
-    campaign's ``(cells x in-cell workers)`` resource model: an attack
-    racing a solver portfolio over ``attack_jobs`` processes is that
-    many cores wide.  Attacks without engine knobs — and unparsable
-    specs, which will fail inside the cell with a proper captured error
-    anyway — are width 1.
-    """
-    from repro.campaign.model import engine_width
-    from repro.errors import SpecError
-
-    try:
-        _, params = parse_spec(text)
-    except SpecError:
-        return 1
-    if "attack_jobs" not in params and "portfolio" not in params:
-        return 1
-    return engine_width(params.get("attack_jobs", 1),
-                        params.get("portfolio"))
-
-
 def matrix_cell(circuit, seed, scheme, attack, max_dips=None,
                 time_budget=None):
     """One campaign cell: load, lock with ``scheme``, run ``attack``.

@@ -47,15 +47,12 @@ class Param:
 
     ``kind`` is ``"int"``, ``"float"``, ``"bool"`` or ``"str"``;
     ``default`` is the value used when a spec omits the parameter
-    (``None`` means "unset", interpreted by the plugin); ``aliases``
-    maps special spec spellings to values (e.g. ``{"auto": None}`` for
-    a worker count).
+    (``None`` means "unset", interpreted by the plugin).
     """
 
     kind: str
     default: object = None
     doc: str = ""
-    aliases: tuple = ()   # ((spelling, value), ...) pairs
 
     def __post_init__(self):
         if self.kind not in ("int", "float", "bool", "str"):
@@ -63,9 +60,6 @@ class Param:
 
     def coerce(self, value, owner, name):
         """Validate/convert ``value``; raises an actionable SpecError."""
-        for spelling, target in self.aliases:
-            if value == spelling:
-                return target
         if value is None:
             return None
         ok = {
@@ -76,23 +70,14 @@ class Param:
             "str": lambda v: isinstance(v, str),
         }[self.kind]
         if not ok(value):
-            expected = self.kind
-            if self.aliases:
-                expected += " (or " + ", ".join(
-                    repr(s) for s, _ in self.aliases) + ")"
             raise SpecError(
-                f"{owner}: parameter {name!r} expects {expected}, "
+                f"{owner}: parameter {name!r} expects {self.kind}, "
                 f"got {value!r}")
         return float(value) if self.kind == "float" else value
 
     def as_dict(self):
         """JSON-safe schema entry (the ``--json`` listing form)."""
-        payload = {"kind": self.kind, "default": self.default,
-                   "doc": self.doc}
-        if self.aliases:
-            payload["aliases"] = {spelling: value
-                                  for spelling, value in self.aliases}
-        return payload
+        return {"kind": self.kind, "default": self.default, "doc": self.doc}
 
     def describe(self):
         """``kind=default`` rendering for CLI listings."""

@@ -2,8 +2,8 @@
 
 A *spec string* names a plugin plus its parameters in one shell-safe
 token — ``"trilock?kappa_s=3&alpha=0.5&s_pairs=10"``,
-``"seq-sat?dip_batch=4&portfolio=cdcl,cdcl-agile"`` — the form campaign
-cells cache-key on and a future distributed runner ships over the wire.
+``"seq-sat?dip_batch=4&solver=cdcl-stable"`` — the form campaign cells
+cache-key on and the distributed scheduler ships over the wire.
 
 Grammar::
 
@@ -11,12 +11,12 @@ Grammar::
     param       = key "=" value
     value       = "true" | "false" | "null" | int | float | string
 
-Strings are bare (no quotes); commas are ordinary characters, so solver
-portfolio lists (``portfolio=cdcl,cdcl-agile``) stay literal.  The
-*canonical* form — produced by :func:`format_spec` and by
-``Plugin.spec()`` — sorts parameters by key and renders each scalar in
-its shortest round-trip spelling, so ``parse(format(spec)) == spec``
-holds exactly and equal configurations hash to equal campaign keys.
+Strings are bare (no quotes); commas are ordinary characters, so a
+value like ``b12,s27`` stays one literal string.  The *canonical* form
+— produced by :func:`format_spec` and by ``Plugin.spec()`` — sorts
+parameters by key and renders each scalar in its shortest round-trip
+spelling, so ``parse(format(spec)) == spec`` holds exactly and equal
+configurations hash to equal campaign keys.
 
 Grid syntax (consumed by :func:`expand_grid`, never present in a
 concrete spec): ``lo..hi`` expands an inclusive integer range and

@@ -11,10 +11,9 @@ equivalent on the attacked window.
 
 The attack engine is built from two orthogonal pieces:
 
-* :class:`DipEngine` owns the miter, the constraint store, and the
-  solver — which may be a single registered backend or a racing
-  :class:`~repro.sat.portfolio.PortfolioSolver` (``portfolio`` /
-  ``attack_jobs`` knobs, see :func:`repro.sat.make_attack_solver`);
+* :class:`DipEngine` owns the miter, the constraint store, and one
+  solver backend (the reference ``cdcl`` unless one is passed in, see
+  :func:`repro.sat.make_backend`);
 * :func:`comb_sat_attack` drives the DIP loop, optionally *batched*:
   ``dip_batch=k`` extracts up to ``k`` distinct DIPs per miter round by
   re-solving under blocking clauses gated on the miter activation
@@ -26,9 +25,8 @@ The attack engine is built from two orthogonal pieces:
   candidate-key feasible set equivalent to pinning the same DIPs one at
   a time.
 
-``dip_batch=1`` with the default portfolio is byte-identical to the
-historical single-solver loop (same solver, same clauses, same DIP
-sequence).
+``dip_batch=1`` with the default solver is byte-identical to the
+historical loop (same solver, same clauses, same DIP sequence).
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ from repro.cnf import Cnf, encode_cone, encode_gate
 from repro.errors import AttackError
 from repro.netlist import GateOp, LogicBuilder, Netlist
 from repro.netlist.transform import InputSpecializer
-from repro.sat import make_attack_solver
+from repro.sat import DEFAULT_BACKEND, make_backend
 
 
 @dataclass
@@ -81,18 +79,15 @@ class DipEngine:
     replays ``locked`` again per key copy with the DIP bits as builder
     constants: the key-only logic hashes onto the miter's nets and logic
     built for earlier DIPs onto theirs, so only the gates that have no
-    solver variable yet are encoded. The solver is either injected
-    (``solver=...``) or built from the ``portfolio`` and ``attack_jobs``
-    knobs; an engine that built its own solver also tears it down in
-    :meth:`close`.
+    solver variable yet are encoded. ``solver`` is the backend object to
+    solve with (a fresh ``cdcl`` when omitted).
 
     ``map_a``/``map_b`` send each net of ``locked`` to its image in key
     copy *a*/*b* of the miter, and ``var_of`` each encoded problem net
     to its solver variable (every data and key net has one).
     """
 
-    def __init__(self, locked, key_inputs, solver=None, portfolio=None,
-                 attack_jobs=1):
+    def __init__(self, locked, key_inputs, solver=None):
         self.locked = locked
         self.key_inputs = list(key_inputs)
         self.key_set = set(self.key_inputs)
@@ -106,15 +101,8 @@ class DipEngine:
         self.data_inputs = [net for net in locked.inputs
                             if net not in self.key_set]
 
-        if solver is not None and (portfolio is not None
-                                   or attack_jobs != 1):
-            raise AttackError(
-                "pass either an explicit solver or the portfolio/"
-                "attack_jobs knobs, not both (the injected solver would "
-                "silently win)")
-        self._owns_solver = solver is None
         self.solver = solver if solver is not None else \
-            make_attack_solver(portfolio=portfolio, attack_jobs=attack_jobs)
+            make_backend(DEFAULT_BACKEND)
 
         self._problem = Netlist("dip_problem")
         self._keys = {tag: {net: f"key_{tag}::{net}"
@@ -166,18 +154,18 @@ class DipEngine:
 
     # ------------------------------------------------------------------
     def _solve(self, assumptions=()):
-        """Solve, refusing to conflate *interrupted* with UNSAT.
+        """Solve, refusing to conflate *unknown* with UNSAT.
 
-        The backend contract allows ``solve`` to return ``None``
-        (unknown) when an interrupt callback fired; treating that as
-        "no DIP remains" would let an interrupted attack report success
-        with an under-constrained key.
+        No built-in backend answers ``None``, but a registered
+        third-party one may (a solver that gave up); treating that as
+        "no DIP remains" would let the attack report success with an
+        under-constrained key.
         """
         result = self.solver.solve(assumptions=assumptions)
         if result is None:
             raise AttackError(
-                "miter solve interrupted (unknown result); the attack "
-                "cannot conclude from a cancelled search")
+                "miter solve returned no answer (unknown result); the "
+                "attack cannot conclude from an unfinished search")
         return result
 
     def find_dip_batch(self, limit=1, deadline=None):
@@ -281,22 +269,10 @@ class DipEngine:
                 feasible.add(bits)
         return feasible
 
-    def close(self):
-        """Tear down a solver this engine created (no-op otherwise)."""
-        if self._owns_solver and hasattr(self.solver, "close"):
-            self.solver.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.close()
-        return False
-
 
 def comb_sat_attack(locked, key_inputs, oracle, max_dips=None,
                     collect_dips=False, time_budget=None, dip_batch=1,
-                    portfolio=None, attack_jobs=1, solver=None):
+                    solver=None):
     """Run the DIP loop; returns a :class:`CombSatResult`.
 
     ``locked``
@@ -317,8 +293,9 @@ def comb_sat_attack(locked, key_inputs, oracle, max_dips=None,
     ``dip_batch``
         DIPs extracted (and oracle responses pinned) per miter round;
         1 reproduces the classic one-DIP-per-iteration loop exactly.
-    ``portfolio`` / ``attack_jobs`` / ``solver``
-        Solver selection, forwarded to :class:`DipEngine`.
+    ``solver``
+        The backend object to solve with, forwarded to
+        :class:`DipEngine`.
     """
     start = time.perf_counter()
     if dip_batch < 1:
@@ -327,60 +304,58 @@ def comb_sat_attack(locked, key_inputs, oracle, max_dips=None,
     solve_seconds = 0.0
     oracle_seconds = 0.0
     encode_seconds = 0.0
-    with DipEngine(locked, key_inputs, solver=solver,
-                   portfolio=portfolio, attack_jobs=attack_jobs) as engine:
-        n_dips = 0
-        n_rounds = 0
-        dips = []
-        stop_reason = "no_more_dips"
-        while True:
-            if deadline is not None and time.perf_counter() > deadline:
-                stop_reason = "time_budget"
-                break
-            # A spent DIP budget still gets one miter solve: an attack
-            # that needs exactly max_dips DIPs succeeds.
-            spent = max_dips is not None and n_dips >= max_dips
-            limit = dip_batch
-            if max_dips is not None:
-                limit = max(1, min(limit, max_dips - n_dips))
-            phase_start = time.perf_counter()
-            batch = engine.find_dip_batch(limit, deadline=deadline)
-            solve_seconds += time.perf_counter() - phase_start
-            if not batch:
-                break  # no distinguishing pattern remains
-            if spent:
-                stop_reason = "max_dips"
-                break
-            n_rounds += 1
-            phase_start = time.perf_counter()
-            responses = list(oracle(batch))
-            oracle_seconds += time.perf_counter() - phase_start
-            if len(responses) != len(batch):
-                raise AttackError(
-                    f"oracle returned {len(responses)} responses for "
-                    f"{len(batch)} DIPs")
-            n_dips += len(batch)
-            if collect_dips:
-                dips.extend(batch)
-            phase_start = time.perf_counter()
-            engine.pin_batch(zip(batch, responses))
-            encode_seconds += time.perf_counter() - phase_start
-
-        if stop_reason != "no_more_dips":
-            return CombSatResult(
-                success=False, key=None, n_dips=n_dips,
-                seconds=time.perf_counter() - start, dips=dips,
-                solver_stats=engine.solver.stats(), stop_reason=stop_reason,
-                n_rounds=n_rounds, solve_seconds=solve_seconds,
-                oracle_seconds=oracle_seconds, encode_seconds=encode_seconds)
-
+    engine = DipEngine(locked, key_inputs, solver=solver)
+    n_dips = 0
+    n_rounds = 0
+    dips = []
+    stop_reason = "no_more_dips"
+    while True:
+        if deadline is not None and time.perf_counter() > deadline:
+            stop_reason = "time_budget"
+            break
+        # A spent DIP budget still gets one miter solve: an attack
+        # that needs exactly max_dips DIPs succeeds.
+        spent = max_dips is not None and n_dips >= max_dips
+        limit = dip_batch
+        if max_dips is not None:
+            limit = max(1, min(limit, max_dips - n_dips))
         phase_start = time.perf_counter()
-        key = engine.solve_key()
+        batch = engine.find_dip_batch(limit, deadline=deadline)
         solve_seconds += time.perf_counter() - phase_start
-        return CombSatResult(
-            success=True, key=key, n_dips=n_dips,
-            seconds=time.perf_counter() - start, dips=dips,
-            solver_stats=engine.solver.stats(), n_rounds=n_rounds,
-            solve_seconds=solve_seconds, oracle_seconds=oracle_seconds,
-            encode_seconds=encode_seconds)
+        if not batch:
+            break  # no distinguishing pattern remains
+        if spent:
+            stop_reason = "max_dips"
+            break
+        n_rounds += 1
+        phase_start = time.perf_counter()
+        responses = list(oracle(batch))
+        oracle_seconds += time.perf_counter() - phase_start
+        if len(responses) != len(batch):
+            raise AttackError(
+                f"oracle returned {len(responses)} responses for "
+                f"{len(batch)} DIPs")
+        n_dips += len(batch)
+        if collect_dips:
+            dips.extend(batch)
+        phase_start = time.perf_counter()
+        engine.pin_batch(zip(batch, responses))
+        encode_seconds += time.perf_counter() - phase_start
 
+    if stop_reason != "no_more_dips":
+        return CombSatResult(
+            success=False, key=None, n_dips=n_dips,
+            seconds=time.perf_counter() - start, dips=dips,
+            solver_stats=engine.solver.stats(), stop_reason=stop_reason,
+            n_rounds=n_rounds, solve_seconds=solve_seconds,
+            oracle_seconds=oracle_seconds, encode_seconds=encode_seconds)
+
+    phase_start = time.perf_counter()
+    key = engine.solve_key()
+    solve_seconds += time.perf_counter() - phase_start
+    return CombSatResult(
+        success=True, key=key, n_dips=n_dips,
+        seconds=time.perf_counter() - start, dips=dips,
+        solver_stats=engine.solver.stats(), n_rounds=n_rounds,
+        solve_seconds=solve_seconds, oracle_seconds=oracle_seconds,
+        encode_seconds=encode_seconds)

@@ -72,10 +72,10 @@ def key_space_trace(locked, oracle, depth=None, max_dips=None):
                              collect_dips=True)
     responses = ask(result.dips)
     survivors = []
-    with DipEngine(view, key_inputs) as engine:
-        for dip, response in zip(result.dips, responses):
-            engine.pin_response(dip, response)
-            survivors.append(_count_consistent_keys(engine))
+    engine = DipEngine(view, key_inputs)
+    for dip, response in zip(result.dips, responses):
+        engine.pin_response(dip, response)
+        survivors.append(_count_consistent_keys(engine))
     return KeySpaceTrace(initial_keys=1 << key_bits, survivors=survivors)
 
 

@@ -6,7 +6,8 @@ Implements the attack family the paper evaluates against [6,14,15,16]:
    [16] shows ``b*`` is efficiently predictable; for TriLock it equals
    ``κs`` and the experiments pass it in exactly as the paper assumes.
 2. Unroll the locked circuit ``κ + b`` cycles and run COMB-SAT on it,
-   treating the first ``κ`` cycle-inputs as the key sequence.
+   treating the first ``κ`` cycle-inputs as the key sequence; each depth
+   solves on one fresh backend of the registered ``solver`` name.
 3. Model-check the candidate key beyond depth ``b`` (BMC against the
    reference when the harness provides it, black-box random simulation
    otherwise); on a counterexample, deepen and continue.
@@ -23,7 +24,7 @@ from repro.attacks.oracle import SimulationOracle
 from repro.core.keys import KeySequence
 from repro.errors import AttackError
 from repro.netlist.transform import simplified
-from repro.sat import make_attack_solver
+from repro.sat import DEFAULT_BACKEND, make_backend
 from repro.sim.random_vectors import make_rng, random_vectors
 from repro.sim.seq import SequentialSimulator
 from repro.unroll import unroll
@@ -125,7 +126,7 @@ def estimate_min_unroll_depth(locked_netlist, kappa, max_depth=16,
 def sequential_sat_attack(locked_netlist, kappa, oracle, known_depth=None,
                           max_depth=12, max_dips=None, time_budget=None,
                           reference=None, check_rounds=24, seed=0,
-                          dip_batch=1, portfolio=None, attack_jobs=1):
+                          dip_batch=1, solver=DEFAULT_BACKEND):
     """Oracle-guided sequential SAT attack; returns :class:`SeqAttackResult`.
 
     ``oracle``
@@ -138,15 +139,12 @@ def sequential_sat_attack(locked_netlist, kappa, oracle, known_depth=None,
         verified by BMC; otherwise by ``check_rounds`` random oracle
         sequences, asked in one batched oracle call (pure black-box
         mode).
-    ``dip_batch`` / ``portfolio`` / ``attack_jobs``
-        Attack-engine knobs forwarded to the COMB-SAT core of each
-        unrolling depth: DIPs extracted per miter round, solver-portfolio
-        spec, and worker-process budget for racing the portfolio (the
-        defaults reproduce the classic single-solver loop exactly).
-        A racing portfolio spawns its worker fleet *once* and resets it
-        between depths (the workers' clause stores are rebuilt in place)
-        instead of respawning per depth — cheap under ``fork``, a real
-        saving on ``spawn`` platforms.
+    ``dip_batch`` / ``solver``
+        Attack-engine knobs for the COMB-SAT core of each unrolling
+        depth: DIPs extracted per miter round, and the registered name
+        of the solver backend (:func:`repro.sat.make_backend`; an
+        unknown name fails with the registered ones) each depth builds
+        afresh.  The defaults reproduce the classic loop exactly.
     """
     start = time.perf_counter()
     rng = make_rng(("seqsat", seed))
@@ -164,74 +162,51 @@ def sequential_sat_attack(locked_netlist, kappa, oracle, known_depth=None,
             oracle_queries=oracle.pattern_count,
             oracle_calls=oracle.query_count, **timers, **fields)
 
-    # One solver for the whole attack when the engine supports cross-
-    # phase reuse (the portfolio's `reset`); otherwise each depth builds
-    # its own engine exactly as before, keeping the serial single-solver
-    # path byte-identical to the historical behaviour.  The default
-    # knobs can only yield a plain backend, so the probe (and the eager
-    # misconfiguration check it performs) is skipped entirely there.
-    shared_solver = None
-    if attack_jobs != 1 or portfolio not in (None, "default"):
-        candidate = make_attack_solver(portfolio=portfolio,
-                                       attack_jobs=attack_jobs)
-        if hasattr(candidate, "reset"):
-            shared_solver = candidate
-        elif hasattr(candidate, "close"):
-            candidate.close()
+    while depth <= max_depth:
+        # A fresh backend per depth; an unknown name fails here, before
+        # any unrolling.
+        backend = make_backend(solver)
+        depths_tried.append(depth)
+        view, key_inputs, data_inputs = unrolled_attack_view(
+            locked_netlist, kappa, depth)
+        view = _with_folded_constants(view)
 
-    try:
-        while depth <= max_depth:
-            depths_tried.append(depth)
-            view, key_inputs, data_inputs = unrolled_attack_view(
-                locked_netlist, kappa, depth)
-            view = _with_folded_constants(view)
-
-            budget_left = None
-            if time_budget is not None:
-                budget_left = time_budget - (time.perf_counter() - start)
-                if budget_left <= 0:
-                    return finish(success=False, key=None, depth=depth,
-                                  stop_reason="time_budget")
-
-            if shared_solver is not None:
-                if len(depths_tried) > 1:  # same fleet, fresh formula
-                    shared_solver.reset()
-                engine = {"solver": shared_solver}
-            else:
-                engine = {"portfolio": portfolio,
-                          "attack_jobs": attack_jobs}
-            result = comb_sat_attack(
-                view, key_inputs, oracle.flat_window(depth),
-                max_dips=None if max_dips is None
-                else max_dips - total_dips,
-                time_budget=budget_left, dip_batch=dip_batch, **engine)
-            total_dips += result.n_dips
-            dips_per_depth[depth] = result.n_dips
-            for phase in ("solve_seconds", "oracle_seconds",
-                          "encode_seconds"):
-                timers[phase] += getattr(result, phase)
-            if not result.success:
+        budget_left = None
+        if time_budget is not None:
+            budget_left = time_budget - (time.perf_counter() - start)
+            if budget_left <= 0:
                 return finish(success=False, key=None, depth=depth,
-                              stop_reason=result.stop_reason)
+                              stop_reason="time_budget")
 
-            candidate = _key_from_model(result.key, locked_netlist.inputs,
-                                        kappa)
-            phase_start = time.perf_counter()
-            ok, counterexample_depth = _verify_candidate(
-                locked_netlist, kappa, candidate, oracle, reference,
-                rng, check_rounds, depth)
-            timers["verify_seconds" if reference is not None
-                   else "oracle_seconds"] += time.perf_counter() - phase_start
-            if ok:
-                return finish(success=True, key=candidate, depth=depth,
-                              verified=True)
-            depth = max(depth + 1, counterexample_depth)
+        result = comb_sat_attack(
+            view, key_inputs, oracle.flat_window(depth),
+            max_dips=None if max_dips is None
+            else max_dips - total_dips,
+            time_budget=budget_left, dip_batch=dip_batch, solver=backend)
+        total_dips += result.n_dips
+        dips_per_depth[depth] = result.n_dips
+        for phase in ("solve_seconds", "oracle_seconds",
+                      "encode_seconds"):
+            timers[phase] += getattr(result, phase)
+        if not result.success:
+            return finish(success=False, key=None, depth=depth,
+                          stop_reason=result.stop_reason)
 
-        return finish(success=False, key=None, depth=depth - 1,
-                      stop_reason="max_depth")
-    finally:
-        if shared_solver is not None:
-            shared_solver.close()
+        candidate = _key_from_model(result.key, locked_netlist.inputs,
+                                    kappa)
+        phase_start = time.perf_counter()
+        ok, counterexample_depth = _verify_candidate(
+            locked_netlist, kappa, candidate, oracle, reference,
+            rng, check_rounds, depth)
+        timers["verify_seconds" if reference is not None
+               else "oracle_seconds"] += time.perf_counter() - phase_start
+        if ok:
+            return finish(success=True, key=candidate, depth=depth,
+                          verified=True)
+        depth = max(depth + 1, counterexample_depth)
+
+    return finish(success=False, key=None, depth=depth - 1,
+                  stop_reason="max_depth")
 
 
 def attack_locked_circuit(locked, known_depth="paper", **kwargs):

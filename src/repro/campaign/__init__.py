@@ -24,7 +24,6 @@ from repro.campaign.model import (
     CellSpec,
     canonical_json,
     canonical_value,
-    engine_width,
 )
 from repro.campaign.scheduler import DistributedBackend, Scheduler
 from repro.campaign.store import (
@@ -51,7 +50,6 @@ __all__ = [
     "canonical_json",
     "canonical_value",
     "default_cache_dir",
-    "engine_width",
     "register_executor_backend",
     "render_status",
     "resolve_backend",

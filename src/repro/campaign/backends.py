@@ -12,8 +12,8 @@ given the pending cells it fills in their :class:`CellResult` slots via
   exceeds its budget has its worker terminated and **replaced**, so the
   rest of the campaign keeps running at full width;
 * :class:`DistributedBackend` (``repro.campaign.scheduler``) — a TCP
-  scheduler placing cells onto remote ``repro-lock worker`` agents as a
-  2-D resource ``(cells x in-cell workers)``.
+  scheduler placing cells onto remote ``repro-lock worker`` agents, one
+  cell per advertised core.
 
 Third-party policies register through :func:`register_executor_backend`
 and are then addressable by name everywhere a backend string is
@@ -31,13 +31,18 @@ import time
 import traceback
 
 from repro.errors import CampaignError
-# Re-exported for worker capacity defaults and CPU-share math: the
-# solver budget and the share denominator must count cores identically,
-# so there is exactly one implementation (next to cpu_budget).
-from repro.sat.backend import host_cores  # noqa: F401
 
 #: Default scheduler endpoint shared by `--bind` and `--connect`.
 DEFAULT_BIND = "127.0.0.1:7764"
+
+
+def host_cores():
+    """CPUs of this host (affinity-aware): a worker agent's default
+    capacity."""
+    try:
+        return len(os.sched_getaffinity(0)) or 1
+    except AttributeError:  # pragma: no cover - non-Linux fallback
+        return os.cpu_count() or 1
 
 
 # ----------------------------------------------------------------------
@@ -54,13 +59,6 @@ def resolve_cell_fn(path):
         return getattr(module, fn_name)
     except AttributeError:
         raise CampaignError(f"{module_name} has no cell function {fn_name!r}")
-
-
-def _set_cpu_share(share):
-    """Publish how many sibling cell workers share this machine, so
-    in-cell auto solver races (``repro.sat.cpu_budget``) divide the CPUs
-    instead of each claiming all of them."""
-    os.environ["REPRO_CPU_SHARE"] = str(share)
 
 
 def kill_process(process, conn=None):
@@ -194,9 +192,8 @@ class InlineBackend(ExecutorBackend):
 # ----------------------------------------------------------------------
 # Local process pool
 # ----------------------------------------------------------------------
-def _pool_worker_main(conn, share):
+def _pool_worker_main(conn):
     """Worker loop: receive ``(index, fn, kwargs)``, send the envelope."""
-    _set_cpu_share(share)
     while True:
         try:
             task = conn.recv()
@@ -216,10 +213,10 @@ def _pool_worker_main(conn, share):
 class _PoolWorker:
     """One pool slot: a worker process plus its duplex pipe."""
 
-    def __init__(self, context, share):
+    def __init__(self, context):
         self.conn, child = multiprocessing.Pipe()
         self.process = context.Process(
-            target=_pool_worker_main, args=(child, share))
+            target=_pool_worker_main, args=(child,))
         self.process.start()
         child.close()
         self.task_index = None
@@ -272,8 +269,8 @@ class PoolBackend(ExecutorBackend):
         reporter.flush()
         context = multiprocessing.get_context()
         queue = collections.deque(pending)
-        share = min(self.jobs, len(queue))
-        workers = [_PoolWorker(context, share) for _ in range(share)]
+        workers = [_PoolWorker(context)
+                   for _ in range(min(self.jobs, len(queue)))]
         outstanding = len(queue)
 
         def finish(index, envelope):
@@ -288,13 +285,13 @@ class PoolBackend(ExecutorBackend):
             worker.kill()
             if queue:
                 # Remaining cells keep running at full width.
-                workers.append(_PoolWorker(context, share))
+                workers.append(_PoolWorker(context))
                 self.replacements += 1
 
         try:
             while outstanding:
                 self._assign(workers, queue, specs, campaign.cell_timeout,
-                             context, share)
+                             context)
                 busy = [w for w in workers if w.busy]
                 ready = multiprocessing.connection.wait(
                     [w.conn for w in busy],
@@ -324,7 +321,7 @@ class PoolBackend(ExecutorBackend):
         finally:
             self._shutdown(workers)
 
-    def _assign(self, workers, queue, specs, cell_timeout, context, share):
+    def _assign(self, workers, queue, specs, cell_timeout, context):
         for slot, worker in enumerate(list(workers)):
             if worker.busy or not queue:
                 continue
@@ -336,7 +333,7 @@ class PoolBackend(ExecutorBackend):
                 # worker, and let the next loop iteration dispatch it.
                 queue.appendleft(index)
                 worker.kill()
-                workers[slot] = _PoolWorker(context, share)
+                workers[slot] = _PoolWorker(context)
                 self.replacements += 1
 
     @staticmethod

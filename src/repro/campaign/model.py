@@ -110,29 +110,6 @@ class CellSpec:
         """The params as the keyword-argument dict to call ``fn`` with."""
         return {key: json.loads(raw) for key, raw in self.params}
 
-    def width(self):
-        """In-cell worker processes this cell occupies while running.
-
-        This is the second dimension of the campaign's 2-D resource
-        model ``(cells x in-cell workers)``: a cell whose attack races a
-        solver portfolio over ``attack_jobs`` processes is ``k`` cores
-        wide, and a distributed scheduler must not co-place cells past a
-        worker's advertised capacity.  The width is declared by the
-        cell's own parameters — a direct ``attack_jobs``/``portfolio``
-        pair (the Table I cells) or an attack spec string (the matrix
-        cells); cells without engine knobs are width 1.
-        """
-        kwargs = self.kwargs()
-        if "attack_jobs" in kwargs:
-            return engine_width(kwargs["attack_jobs"],
-                                kwargs.get("portfolio"))
-        attack = kwargs.get("attack")
-        if isinstance(attack, str):
-            from repro.api.cells import attack_spec_width
-
-            return attack_spec_width(attack)
-        return 1
-
     def to_wire(self):
         """JSON-safe envelope of this spec (the distributed wire form).
 
@@ -169,24 +146,3 @@ class CellSpec:
 
     def describe(self):
         return self.label or self.fn
-
-
-def engine_width(attack_jobs, portfolio):
-    """Worker processes an ``attack_jobs``/``portfolio`` pair occupies.
-
-    ``attack_jobs=None`` is auto mode — one worker per portfolio
-    configuration (that is what ``make_attack_solver`` clamps to), so
-    the width is the portfolio size; unknown or malformed declarations
-    degrade to width 1 rather than failing placement.
-    """
-    if attack_jobs is None:
-        try:
-            from repro.sat.backend import parse_portfolio
-
-            return max(1, len(parse_portfolio(portfolio)))
-        except Exception:
-            return 1
-    try:
-        return max(1, int(attack_jobs))
-    except (TypeError, ValueError):
-        return 1

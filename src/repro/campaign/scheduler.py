@@ -10,9 +10,9 @@ JSON envelopes and places them onto remote ``repro-lock worker`` agents
   the worker's local read-through shard), ``result`` (the cell's
   failure-capture envelope);
 * scheduler → worker: ``welcome`` (heartbeat interval), ``cell`` (the
-  key-only placement probe: cache key, label, width, cpu_share — no
-  kwargs), ``job`` (fn path + canonical kwargs, sent only after a
-  ``need``), ``cancel``, ``shutdown``.
+  key-only placement probe: cache key and label, no kwargs), ``job``
+  (fn path + canonical kwargs, sent only after a ``need``), ``cancel``,
+  ``shutdown``.
 
 The two-step ``cell``/``need`` dance is the *two-tier cache*: a worker
 holding the key in its local shard answers ``hit`` without the kwargs
@@ -29,13 +29,9 @@ MACs is dropped before any of its JSON reaches :meth:`Scheduler._handle`
 — unauthenticated or replayed ``result``/``hit`` frames never touch the
 result path.
 
-Placement is 2-D: every cell declares its in-cell width
-(``CellSpec.width()`` — the ``attack_jobs``/portfolio size), and the
-scheduler packs cells onto workers by free cores so the sum of placed
-widths never exceeds a worker's advertised capacity (a cell wider than
-any worker runs alone on a fully idle one).  Each placement ships a
-``cpu_share`` so worker-side solver auto-sizing
-(``repro.sat.cpu_budget``) stays honest about its slice of the host.
+Placement: every cell is one process running one solver, so a worker's
+advertised cores are the cells it runs at once, and each cell goes to
+the registered worker with the most free slots.
 
 Failure model: per-cell timeouts are enforced scheduler-side (the cell
 is cancelled on its worker and recorded as a timeout, exactly like the
@@ -134,7 +130,6 @@ class _Task:
     fn: str
     kwargs: dict
     key: str
-    width: int
     label: str
     group: str = ""
     tenant: str = ""
@@ -148,7 +143,6 @@ class _Assignment:
     """One cell in flight on a worker."""
 
     task: _Task
-    consumed: int
     started: float
     deadline: float
 
@@ -181,7 +175,8 @@ class FifoTaskQueue(collections.deque):
     ahead of newer work in their original order), ``requeue`` (a task
     whose worker died, restored to the very front), ``remove_group``
     (cancel a submission), ``started``/``finished`` (placement
-    accounting hooks), and ``depths`` (per-tenant backlog for metrics).
+    accounting hooks, one call per cell), and ``depths`` (per-tenant
+    backlog for metrics).
     """
 
     def put(self, task):
@@ -204,10 +199,10 @@ class FifoTaskQueue(collections.deque):
             self.extend(kept)
         return removed
 
-    def started(self, task, cores):
+    def started(self, task):
         pass
 
-    def finished(self, task, cores):
+    def finished(self, task):
         pass
 
     def depths(self):
@@ -390,8 +385,8 @@ class Scheduler:
                     continue
                 if worker.assigned.pop(cell_id, None) is None:
                     continue  # worker dropped mid-sweep
-                worker.free += item.consumed
-                self._queue.finished(item.task, item.consumed)
+                worker.free += 1
+                self._queue.finished(item.task)
                 alive = self._send(worker, {"type": "cancel", "id": cell_id})
                 cancelled += 1
                 self._finish(item.task,
@@ -480,8 +475,8 @@ class Scheduler:
                 # Late result for a cell already timed out, cancelled,
                 # or requeued after this worker was presumed dead.
                 return
-            worker.free += item.consumed
-            self._queue.finished(item.task, item.consumed)
+            worker.free += 1
+            self._queue.finished(item.task)
             self._finish(item.task, message.get("envelope"))
         elif kind == "need":
             # The worker's shard had no entry for the probe — ship the
@@ -511,8 +506,8 @@ class Scheduler:
                                     "salt": self.salt})
                 return
             worker.assigned.pop(cell_id, None)
-            worker.free += item.consumed
-            self._queue.finished(item.task, item.consumed)
+            worker.free += 1
+            self._queue.finished(item.task)
             self.shard_hits += 1
             # Flows through the normal deliver path, so the scheduler's
             # authoritative store absorbs the value as usual.
@@ -560,7 +555,7 @@ class Scheduler:
         in_flight = list(worker.assigned.values())
         worker.assigned.clear()
         for item in in_flight:
-            self._queue.finished(item.task, item.consumed)
+            self._queue.finished(item.task)
         # Requeue ahead of untouched work: these cells were already
         # scheduled once and spec-order consumers are waiting on them.
         # A cell that has burned through MAX_ATTEMPTS workers is almost
@@ -596,8 +591,8 @@ class Scheduler:
                     continue
                 if worker.assigned.pop(cell_id, None) is None:
                     continue  # worker dropped mid-sweep; already requeued
-                worker.free += item.consumed
-                self._queue.finished(item.task, item.consumed)
+                worker.free += 1
+                self._queue.finished(item.task)
                 alive = self._send(worker, {"type": "cancel", "id": cell_id})
                 # The popped cell still timed out — deliver its envelope
                 # even when the cancel send just dropped the worker (the
@@ -608,7 +603,7 @@ class Scheduler:
                     break
 
     # ------------------------------------------------------------------
-    # 2-D placement
+    # Placement
     # ------------------------------------------------------------------
     def _maybe_dispatch(self):
         if not self._dispatching:
@@ -626,41 +621,26 @@ class Scheduler:
             task = self._queue.pop_next()
             if task is None:
                 break
-            worker = self._pick_worker(task.width)
+            worker = self._pick_worker()
             if worker is None or not self._dispatch(worker, task):
                 deferred.append(task)
         if deferred:
             self._queue.defer(deferred)
 
-    def _pick_worker(self, width):
-        """The most-free worker that can hold ``width`` more cores.
-
-        A cell wider than every worker's capacity is placed alone on a
-        fully idle worker (consuming all its cores) — capacity clamps
-        reality, it never strands work.
-        """
+    def _pick_worker(self):
+        """The registered worker with the most free slots, or None when
+        every slot is taken."""
         best = None
         for worker in self._workers.values():
-            if not worker.registered:
-                continue
-            consumed = min(width, worker.cores)
-            if worker.free < consumed:
-                continue
-            if width > worker.cores and worker.free < worker.cores:
-                continue  # over-wide cells run alone
-            if best is None or worker.free > best.free:
+            if worker.registered and worker.free > 0 and (
+                    best is None or worker.free > best.free):
                 best = worker
         return best
 
     def _dispatch(self, worker, task):
-        consumed = min(task.width, worker.cores)
         cell_id = self._next_id
         self._next_id += 1
         task.attempts += 1
-        # `cores` is the placement's grant in *advertised* units; the
-        # worker converts it into REPRO_CPU_SHARE against its real host
-        # CPU count, so solver auto-sizing sees exactly this many cores
-        # even when --cores understates (or overstates) the hardware.
         # The probe is key-only: kwargs ship later, and only if the
         # worker's shard cannot answer the key (`need` -> `job`).
         sent = self._send(worker, {
@@ -668,8 +648,6 @@ class Scheduler:
             "id": cell_id,
             "key": task.key,
             "label": task.label,
-            "width": task.width,
-            "cores": consumed,
         })
         if not sent:
             return False
@@ -677,9 +655,9 @@ class Scheduler:
         deadline = float("inf") if self.cell_timeout is None \
             else now + self.cell_timeout
         worker.assigned[cell_id] = _Assignment(
-            task=task, consumed=consumed, started=now, deadline=deadline)
-        worker.free -= consumed
-        self._queue.started(task, consumed)
+            task=task, started=now, deadline=deadline)
+        worker.free -= 1
+        self._queue.started(task)
         return True
 
     def _close_all(self):
@@ -754,7 +732,6 @@ class DistributedBackend(ExecutorBackend):
         tasks = [
             _Task(index=index, fn=specs[index].fn,
                   kwargs=specs[index].kwargs(), key=keys[index],
-                  width=specs[index].width(),
                   label=specs[index].describe())
             for index in pending
         ]

@@ -147,7 +147,7 @@ class CampaignService:
                     continue
                 tasks.append(_Task(
                     index=index, fn=spec.fn, kwargs=spec.kwargs(), key=key,
-                    width=spec.width(), label=spec.describe(),
+                    label=spec.describe(),
                     group=job.id, tenant=tenant, priority=priority,
                     deliver=functools.partial(self._deliver, job.id)))
             job.shipped = len(tasks)

@@ -3,12 +3,10 @@
 The policy implements the scheduler's queue protocol (see
 :class:`repro.campaign.scheduler.FifoTaskQueue`) but keeps one priority
 heap **per tenant** and, on every placement, serves the tenant currently
-holding the *fewest running cores* — classic max-min fair share over the
-fleet's core pool, layered on top of the scheduler's 2-D packing.  Two
-tenants submitting overlapping campaigns therefore interleave from the
-first free core instead of draining in arrival order; a tenant that
-only ever submits narrow cells is not starved by one that submits wide
-portfolio cells, because the share is measured in cores, not cells.
+holding the *fewest running cells* — classic max-min fair share over the
+fleet's slots, where every cell takes one core.  Two tenants submitting
+overlapping campaigns therefore interleave from the first free core
+instead of draining in arrival order.
 
 Within one tenant, higher ``priority`` wins; ties preserve submission
 order.  Requeued cells (their worker died) and deferred cells (no
@@ -32,7 +30,7 @@ class FairShareQueue:
 
     def __init__(self, on_started=None, on_finished=None):
         self._heaps = {}     # tenant -> [( -priority, seq, task ), ...]
-        self._running = {}   # tenant -> cores currently placed
+        self._running = {}   # tenant -> cells currently placed
         self._served = {}    # tenant -> tick of its last placement
         self._seq = itertools.count(1)       # arrival order (back)
         self._front = itertools.count(-1, -1)  # requeue order (front)
@@ -84,14 +82,13 @@ class FairShareQueue:
             self._prune(tenant)
         return removed
 
-    def started(self, task, cores):
-        self._running[task.tenant] = \
-            self._running.get(task.tenant, 0) + cores
+    def started(self, task):
+        self._running[task.tenant] = self._running.get(task.tenant, 0) + 1
         if self.on_started is not None:
             self.on_started(task)
 
-    def finished(self, task, cores):
-        left = self._running.get(task.tenant, 0) - cores
+    def finished(self, task):
+        left = self._running.get(task.tenant, 0) - 1
         if left > 0:
             self._running[task.tenant] = left
         else:
@@ -104,7 +101,7 @@ class FairShareQueue:
         return {tenant: len(heap) for tenant, heap in self._heaps.items()}
 
     def running_cores(self):
-        """Cores currently placed per tenant (for /metrics)."""
+        """Cells (one core each) currently placed per tenant."""
         return dict(self._running)
 
     def __len__(self):
@@ -135,7 +132,7 @@ class FairShareQueue:
         heapq.heappush(heap, (-int(task.priority), seq, task))
 
     def _pick_tenant(self):
-        """The queued tenant with the smallest running-core share;
+        """The queued tenant with the fewest running cells;
         ties go to the least recently served, then to name order (so
         the choice is deterministic)."""
         best = None

@@ -20,13 +20,9 @@ Every locally-computed result is also written into the shard, so a
 warm-fleet rerun is answered entirely at the edge.  The scheduler
 remains the write authority for the campaign's shared store.
 
-The scheduler's 2-D placement guarantees the widths of concurrently
-assigned cells never exceed the advertised cores, so the agent runs
-whatever it is told without further admission control; each cell
-message carries its core *grant*, which the agent converts into a
-``REPRO_CPU_SHARE`` against the real host CPU count
-(:func:`cpu_share_for`) so in-cell solver auto-sizing sees exactly its
-granted slice of this host, not the whole machine.
+The scheduler never assigns a worker more cells at once than the cores
+it advertised (each cell is one process running one solver), so the
+agent runs whatever it is told without further admission control.
 
 With a shared secret (``--secret``/``$REPRO_SECRET``) the agent opens
 the connection with an HMAC hello and MACs every frame; a scheduler
@@ -71,26 +67,8 @@ _HANDSHAKE_SECONDS = 10.0
 SHARD_ENV = "REPRO_WORKER_SHARD"
 
 
-def cpu_share_for(granted, advertised):
-    """``REPRO_CPU_SHARE`` for a placement granted ``granted`` of this
-    worker's ``advertised`` cores.
-
-    The share divides the *real* host CPU count inside
-    ``repro.sat.cpu_budget``, so it must be derived from real cores —
-    deriving it from advertised cores would oversubscribe an
-    under-advertised host (``--cores 2`` on an 8-core box would hand a
-    1-core grant a budget of 4).  The division rounds *up*: a 3-core
-    grant on an 8-core host must yield share 3 (budget ``8//3 = 2``),
-    not the floor's share 2 (budget 4 — more than was granted).  The
-    resulting budget never exceeds the grant.
-    """
-    granted = max(1, min(int(granted or 1), max(1, int(advertised))))
-    return max(1, -(-host_cores() // granted))
-
-
-def _cell_main(conn, fn_path, kwargs, cpu_share):
-    """Cell subprocess: publish the CPU share, execute, ship the envelope."""
-    os.environ["REPRO_CPU_SHARE"] = str(cpu_share)
+def _cell_main(conn, fn_path, kwargs):
+    """Cell subprocess: execute, ship the envelope."""
     try:
         envelope = _execute_cell(fn_path, kwargs)
     except (KeyboardInterrupt, SystemExit):  # pragma: no cover
@@ -106,18 +84,17 @@ def _cell_main(conn, fn_path, kwargs, cpu_share):
 class _PendingCell:
     """A key-only probe waiting for its ``job`` frame."""
 
-    def __init__(self, cell_id, key, label, cores):
+    def __init__(self, cell_id, key, label):
         self.cell_id = cell_id
         self.key = key
         self.label = label
-        self.cores = cores
 
 
 class _RunningCell:
     """One in-flight cell: its subprocess plus the result pipe."""
 
-    def __init__(self, context, cell_id, fn_path, kwargs, cpu_share,
-                 key=None, label=""):
+    def __init__(self, context, cell_id, fn_path, kwargs, key=None,
+                 label=""):
         self.cell_id = cell_id
         self.fn_path = fn_path
         self.kwargs = kwargs
@@ -125,7 +102,7 @@ class _RunningCell:
         self.label = label
         self.conn, child = multiprocessing.Pipe(duplex=False)
         self.process = context.Process(
-            target=_cell_main, args=(child, fn_path, kwargs, cpu_share))
+            target=_cell_main, args=(child, fn_path, kwargs))
         self.process.start()
         child.close()
         self.started = time.monotonic()
@@ -207,8 +184,7 @@ def run_worker(connect, cores=None, name=None, retry_for=10.0, out=None,
         if kind == "cell":
             cell_id = message["id"]
             key = message.get("key")
-            probe = _PendingCell(cell_id, key, message.get("label") or "",
-                                 message.get("cores"))
+            probe = _PendingCell(cell_id, key, message.get("label") or "")
             value = shard.get(key) if (shard and key) else None
             if value is not None:
                 nonlocal hits
@@ -226,9 +202,8 @@ def run_worker(connect, cores=None, name=None, retry_for=10.0, out=None,
                 return False  # cancelled (or never probed) — stale job
             running[probe.cell_id] = _RunningCell(
                 context, probe.cell_id, message["fn"],
-                message.get("kwargs") or {},
-                cpu_share_for(probe.cores, cores),
-                key=probe.key, label=probe.label)
+                message.get("kwargs") or {}, key=probe.key,
+                label=probe.label)
         elif kind == "cancel":
             cell_id = message.get("id")
             if pending.pop(cell_id, None) is None:

@@ -73,8 +73,7 @@ import json
 import os
 import sys
 
-from repro._cliutils import add_backend_arguments, attack_jobs_arg, \
-    make_executor_backend
+from repro._cliutils import add_backend_arguments, make_executor_backend
 from repro.api import ATTACKS, CIRCUITS, SCHEMES, circuit_label, \
     expand_grid, matrix_cells, parse_spec
 from repro.api.spec import format_spec
@@ -89,6 +88,7 @@ from repro.errors import ReproError
 from repro.experiments.common import format_table
 from repro.metrics import simulate_fc
 from repro.netlist import dump_bench, load_bench
+from repro.sat import DEFAULT_BACKEND
 from repro.tech import overhead
 
 #: Key-file formats this CLI reads; v2 added the scheme spec string.
@@ -146,16 +146,10 @@ def build_parser():
     attack_cmd.add_argument("--dip-batch", type=int, default=1,
                             help="DIPs extracted and pinned per miter "
                                  "round (default 1 = classic loop)")
-    attack_cmd.add_argument("--attack-jobs", type=attack_jobs_arg,
-                            default=1,
-                            help="worker processes racing solver configs: "
-                                 "an int (default 1 = serial single "
-                                 "solver) or 'auto' (one per config, "
-                                 "clamped to the CPU budget)")
-    attack_cmd.add_argument("--portfolio", default=None,
-                            help="solver portfolio: 'default', 'race', "
-                                 "'race2', 'all', or comma-separated "
-                                 "backend names")
+    attack_cmd.add_argument("--solver", default=DEFAULT_BACKEND,
+                            help="registered solver backend (default "
+                                 "%(default)s; see "
+                                 "repro.sat.backend_names)")
 
     report_cmd = commands.add_parser(
         "report", help="security and cost report of a locked design")
@@ -269,10 +263,9 @@ def build_parser():
                             help="scheduler address (the matrix/experiment "
                                  "run's --bind)")
     worker_cmd.add_argument("--cores", type=int, default=None,
-                            help="capacity to advertise (default: this "
-                                 "host's CPU affinity count); the "
-                                 "scheduler never places cells whose "
-                                 "summed widths exceed it")
+                            help="capacity to advertise: the cells this "
+                                 "worker runs at once (default: this "
+                                 "host's CPU affinity count)")
     worker_cmd.add_argument("--name", default=None,
                             help="worker name in scheduler logs "
                                  "(default host:pid)")
@@ -316,7 +309,8 @@ def build_parser():
                                 "(remote workers join with "
                                 "'repro-lock worker --connect')")
     serve_cmd.add_argument("--worker-cores", type=int, default=None,
-                           help="cores each local worker advertises")
+                           help="cores each local worker advertises "
+                                "(the cells it runs at once)")
     serve_cmd.add_argument("--min-workers", type=int, default=1,
                            help="hold dispatch until this many workers "
                                 "registered (default %(default)s)")
@@ -523,8 +517,7 @@ def cmd_attack(args, out):
     result = sequential_sat_attack(
         locked, kappa, oracle, known_depth=depth,
         max_dips=args.max_dips, time_budget=args.time_budget,
-        reference=original, dip_batch=args.dip_batch,
-        portfolio=args.portfolio, attack_jobs=args.attack_jobs)
+        reference=original, dip_batch=args.dip_batch, solver=args.solver)
     phases = (f"phases: solve {result.solve_seconds:.2f}s, "
               f"oracle {result.oracle_seconds:.2f}s "
               f"({result.oracle_queries} patterns / "

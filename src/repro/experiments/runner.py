@@ -18,8 +18,8 @@ the cells that changed.  ``--no-cache`` recomputes everything;
 
 Sweeps too big for one host scale out with ``--backend distributed``
 (plus ``--bind``/``--workers``): cells are shipped to ``repro-lock
-worker`` agents on any reachable hosts, placed 2-D by ``(cells x
-in-cell attack_jobs)``, and written back through the shared cache.
+worker`` agents on any reachable hosts, one cell per advertised core,
+and written back through the shared cache.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ import os
 import sys
 import time
 
-from repro._cliutils import add_backend_arguments, attack_jobs_arg, \
-    make_executor_backend
+from repro._cliutils import add_backend_arguments, make_executor_backend
 from repro.campaign import Campaign, ResultStore, default_cache_dir, \
     render_status
 from repro.errors import ReproError
@@ -44,6 +43,7 @@ from repro.experiments import (
     table2_removal,
 )
 from repro.experiments.common import DEFAULT_SCALE
+from repro.sat import DEFAULT_BACKEND
 
 EXPERIMENTS = {
     "fig3": lambda args, campaign: fig3_error_tables.run(
@@ -52,8 +52,7 @@ EXPERIMENTS = {
         campaign=campaign),
     "table1": lambda args, campaign: table1_sat_resilience.run(
         scale=args.scale, effort=args.effort, seed=args.seed,
-        campaign=campaign, dip_batch=args.dip_batch,
-        portfolio=args.portfolio, attack_jobs=args.attack_jobs),
+        campaign=campaign, dip_batch=args.dip_batch, solver=args.solver),
     "fig7": lambda args, campaign: fig7_fc.run(
         scale=args.scale, names=args.circuits, seed=args.seed,
         n_samples=args.samples, campaign=campaign),
@@ -109,20 +108,13 @@ def build_parser():
                              "only — the inline backend cannot "
                              "interrupt a cell and warns")
     add_backend_arguments(parser)
-    parser.add_argument("--attack-jobs", type=attack_jobs_arg, default=1,
-                        help="worker processes racing solver "
-                             "configurations inside one attack cell: "
-                             "an int (default 1 = serial single solver) "
-                             "or 'auto' (one per portfolio config, "
-                             "clamped to the CPU budget)")
     parser.add_argument("--dip-batch", type=int, default=1,
                         help="distinguishing input patterns extracted "
                              "and pinned per miter round (default "
                              "%(default)s = classic SAT-attack loop)")
-    parser.add_argument("--portfolio", default=None,
-                        help="solver portfolio spec for attack cells: "
-                             "'default', 'race', 'race2', 'all', or a "
-                             "comma-separated backend list (see "
+    parser.add_argument("--solver", default=DEFAULT_BACKEND,
+                        help="registered solver backend of the attack "
+                             "cells (default %(default)s; see "
                              "repro.sat.backend_names)")
     return parser
 
@@ -159,7 +151,7 @@ def run_experiment(name, args, campaign=None):
 
 
 #: Experiments that actually run a SAT attack and consume the
-#: attack-engine knobs (--attack-jobs / --dip-batch / --portfolio).
+#: attack-engine knobs (--dip-batch / --solver).
 ATTACK_EXPERIMENTS = frozenset(["table1"])
 
 
@@ -171,11 +163,11 @@ def main(argv=None):
         return 0
     names = sorted(EXPERIMENTS) if args.experiment == "all" \
         else [args.experiment]
-    engine_flags_set = (args.dip_batch != 1 or args.portfolio is not None
-                        or args.attack_jobs != 1)
+    engine_flags_set = (args.dip_batch != 1
+                        or args.solver != DEFAULT_BACKEND)
     if engine_flags_set and not ATTACK_EXPERIMENTS.intersection(names):
         sys.stderr.write(
-            "warning: --attack-jobs/--dip-batch/--portfolio only affect "
+            "warning: --dip-batch/--solver only affect "
             f"SAT-attack experiments ({', '.join(sorted(ATTACK_EXPERIMENTS))})"
             f"; {', '.join(names)} ignores them\n")
     try:

@@ -1,5 +1,5 @@
 """SAT solving: CDCL engine, DPLL reference, pluggable backends,
-racing portfolios, model enumeration."""
+model enumeration."""
 
 from repro.sat.backend import (
     BUILTIN_CONFIGS,
@@ -8,10 +8,7 @@ from repro.sat.backend import (
     DpllBackend,
     SolverBackend,
     backend_names,
-    cpu_budget,
-    make_attack_solver,
     make_backend,
-    parse_portfolio,
     register_backend,
 )
 from repro.sat.dpll import brute_force_models, dpll_solve
@@ -24,7 +21,6 @@ from repro.sat.native import (
     in_tree_engine_argv,
     make_native_backend,
 )
-from repro.sat.portfolio import PortfolioSolver
 from repro.sat.solver import Solver
 
 __all__ = [
@@ -34,21 +30,17 @@ __all__ = [
     "DimacsSubprocessBackend",
     "DpllBackend",
     "NativeUnavailableBackend",
-    "PortfolioSolver",
     "PySatBackend",
     "Solver",
     "SolverBackend",
     "backend_names",
     "brute_force_models",
     "count_models",
-    "cpu_budget",
     "dpll_solve",
     "engine_probe",
     "enumerate_models",
     "in_tree_engine_argv",
-    "make_attack_solver",
     "make_backend",
     "make_native_backend",
-    "parse_portfolio",
     "register_backend",
 ]

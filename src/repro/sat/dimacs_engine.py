@@ -8,17 +8,11 @@ hermetic engine to run against in tests and smoke runs::
 Speaks the SAT-competition conventions the adapter expects: answer as
 ``s SATISFIABLE`` / ``s UNSATISFIABLE`` on stdout, model as ``v`` lines
 terminated by 0, exit code 10/20.
-
-``REPRO_DIMACS_ENGINE_SLEEP`` (seconds, float) delays the run before
-solving — the interrupt tests use it to guarantee the adapter's poll
-loop observes a still-running engine.
 """
 
 from __future__ import annotations
 
-import os
 import sys
-import time
 
 from repro.sat.solver import Solver
 
@@ -56,9 +50,6 @@ def parse_dimacs(text):
 
 def run(path, out=sys.stdout):
     """Solve the DIMACS file at ``path``; returns the exit code."""
-    delay = float(os.environ.get("REPRO_DIMACS_ENGINE_SLEEP", "0") or 0)
-    if delay > 0:
-        time.sleep(delay)
     with open(path, "r", encoding="ascii") as handle:
         num_vars, clauses = parse_dimacs(handle.read())
     solver = Solver()

@@ -9,23 +9,12 @@ from __future__ import annotations
 
 from repro.errors import SolverError
 
-#: Sentinel returned by :func:`dpll_solve` when its ``interrupt``
-#: callback fired mid-search (distinct from ``None`` = UNSAT).
-INTERRUPTED = object()
 
-
-class _Interrupted(Exception):
-    """Internal signal: the interrupt callback asked the search to stop."""
-
-
-def dpll_solve(cnf, assumptions=(), interrupt=None):
+def dpll_solve(cnf, assumptions=()):
     """Return a model dict var->bool, or None if UNSAT.
 
     ``cnf`` is a :class:`repro.cnf.formula.Cnf`; ``assumptions`` are
-    literals fixed before the search.  ``interrupt`` is an optional
-    zero-arg callable polled at every search node; when it turns true
-    the search stops and :data:`INTERRUPTED` is returned (this is what
-    lets a racing portfolio cancel a losing DPLL worker).
+    literals fixed before the search.
     """
     assignment = {}
     for lit in assumptions:
@@ -36,10 +25,7 @@ def dpll_solve(cnf, assumptions=(), interrupt=None):
         assignment[var] = want
 
     clauses = [list(clause) for clause in cnf.clauses]
-    try:
-        result = _search(clauses, assignment, interrupt)
-    except _Interrupted:
-        return INTERRUPTED
+    result = _search(clauses, assignment)
     if result is None:
         return None
     model = {var: result.get(var, False) for var in range(1, cnf.num_vars + 1)}
@@ -77,9 +63,7 @@ def _simplify(clauses, assignment):
     return clauses
 
 
-def _search(clauses, assignment, interrupt=None):
-    if interrupt is not None and interrupt():
-        raise _Interrupted
+def _search(clauses, assignment):
     clauses = _simplify(clauses, assignment)
     if clauses is None:
         return None
@@ -91,7 +75,7 @@ def _search(clauses, assignment, interrupt=None):
     for value in (lit > 0, lit < 0):
         trial = dict(assignment)
         trial[abs(lit)] = value
-        result = _search(clauses, trial, interrupt)
+        result = _search(clauses, trial)
         if result is not None:
             return result
     return None

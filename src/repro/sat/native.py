@@ -5,9 +5,7 @@ depends on the host:
 
 1. **python-sat** (``pysat``) importable — :class:`PySatBackend`, an
    in-process incremental engine (Minisat22 by default, override with
-   ``REPRO_PYSAT_SOLVER``).  Assumptions map straight through;
-   cooperative interrupt is implemented by solving in conflict-budget
-   slices and polling the callback between slices.
+   ``REPRO_PYSAT_SOLVER``).  Assumptions map straight through.
 2. **$REPRO_SAT_BINARY** set — :class:`DimacsSubprocessBackend`, which
    re-emits the accumulated clause set as DIMACS on every ``solve`` and
    runs the user-supplied binary (kissat, cadical, minisat, ...).  The
@@ -22,8 +20,9 @@ depends on the host:
      result file (MiniSat's classic interface).
 
    Assumptions become per-solve unit clauses (the formula file is
-   rebuilt each call, so they never pollute later solves); interrupt is
-   polled while the subprocess runs and kills it on trigger.
+   rebuilt each call, so they never pollute later solves).  Each solve
+   is one ``subprocess.run``, which drains the engine's output while it
+   runs, so a model larger than the pipe buffer cannot stall it.
 3. Neither — :class:`NativeUnavailableBackend`, a stub that satisfies
    the backend surface (so the registry can list it and ``stats()``
    works) but raises an actionable :class:`~repro.errors.SolverError`
@@ -31,8 +30,7 @@ depends on the host:
 
 All three keep the incremental contract of
 :class:`repro.sat.backend.SolverBackend`: ``add_clause`` between
-``solve`` calls, assumptions honored per call, ``solve`` returning
-``None`` when interrupted.
+``solve`` calls, assumptions honored per call.
 """
 
 from __future__ import annotations
@@ -43,16 +41,9 @@ import shutil
 import subprocess
 import sys
 import tempfile
-import time
 import weakref
 
 from repro.errors import SolverError
-
-#: Conflicts per pysat solve slice between interrupt polls.
-_PYSAT_SLICE_CONFLICTS = 256
-
-#: Seconds between interrupt polls while a subprocess engine runs.
-_SUBPROCESS_POLL_SECONDS = 0.01
 
 
 def engine_probe():
@@ -99,7 +90,6 @@ class _ClauseStoreMixin:
         self._root_unsat = False
         self._model = None
         self.num_solve_calls = 0
-        self.interrupt = None
 
     def new_var(self):
         self._num_vars += 1
@@ -174,22 +164,8 @@ class PySatBackend(_ClauseStoreMixin):
         self._model = None
         if self._root_unsat:
             return False
-        assumptions = [int(lit) for lit in assumptions]
-        interrupt = self.interrupt
-        if interrupt is None:
-            answer = self._engine.solve(assumptions=assumptions)
-        else:
-            # Slice the search so the cooperative interrupt contract
-            # holds: budget a few conflicts, poll, repeat.
-            answer = None
-            while True:
-                if interrupt():
-                    return None
-                self._engine.conf_budget(_PYSAT_SLICE_CONFLICTS)
-                answer = self._engine.solve_limited(
-                    assumptions=assumptions, expect_interrupt=False)
-                if answer is not None:
-                    break
+        answer = self._engine.solve(
+            assumptions=[int(lit) for lit in assumptions])
         if answer:
             self._model = {abs(lit): lit > 0
                            for lit in (self._engine.get_model() or ())}
@@ -215,8 +191,7 @@ class DimacsSubprocessBackend(_ClauseStoreMixin):
     scratch — that part is inherent to a stateless external binary, but
     the Python-side serialization cost drops from O(formula) to
     O(delta) per call, which is what matters in the clause-growing DIP
-    loop where the portfolio mirrors thousands of learned clauses into
-    this backend between solves).  Per-call assumptions are appended as
+    loop).  Per-call assumptions are appended as
     unit clauses after the permanent body and truncated away once the
     run finishes, so they never pollute later solves.
     """
@@ -291,28 +266,17 @@ class DimacsSubprocessBackend(_ClauseStoreMixin):
         handle.flush()
         return self._body_end
 
-    def _run(self, argv):
-        """Run the engine, polling the interrupt callback.
-
-        Returns the completed process, or ``None`` when interrupted
-        (the engine is killed first).
-        """
-        interrupt = self.interrupt
+    @staticmethod
+    def _run(argv):
+        """Run the engine to completion; returns the completed process
+        with its whole stdout (read while it runs, so a long model
+        cannot fill the pipe and stall the engine)."""
         try:
-            proc = subprocess.Popen(argv, stdout=subprocess.PIPE,
-                                    stderr=subprocess.DEVNULL, text=True)
+            return subprocess.run(argv, stdout=subprocess.PIPE,
+                                  stderr=subprocess.DEVNULL, text=True)
         except OSError as exc:
             raise SolverError(
                 f"native engine {argv[0]!r} failed to start: {exc}")
-        while True:
-            if proc.poll() is not None:
-                break
-            if interrupt is not None and interrupt():
-                proc.kill()
-                proc.wait()
-                return None
-            time.sleep(_SUBPROCESS_POLL_SECONDS)
-        return proc
 
     @staticmethod
     def _parse_answer(text):
@@ -351,9 +315,7 @@ class DimacsSubprocessBackend(_ClauseStoreMixin):
                     os.unlink(out_path)  # never trust a stale verdict
                 argv.append(out_path)
             proc = self._run(argv)
-            if proc is None:
-                return None
-            text = proc.stdout.read() if proc.stdout else ""
+            text = proc.stdout or ""
             if out_path and os.path.exists(out_path):
                 with open(out_path, "r", encoding="ascii") as handle:
                     # MiniSat result files: SAT\n<model> / UNSAT
@@ -415,7 +377,6 @@ class NativeUnavailableBackend:
 
     def __init__(self, reason):
         self._reason = reason
-        self.interrupt = None
 
     def _unavailable(self):
         raise SolverError(

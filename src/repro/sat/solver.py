@@ -15,12 +15,7 @@ package is available offline). Features:
   ``solve(assumptions=...)`` checks satisfiability under temporary
   literal assumptions (the workhorse of the DIP loop),
 * tunable search heuristics (restart pacing, activity decays, default
-  phase) — the knobs the portfolio layer races against each other,
-* cooperative interruption: set :attr:`Solver.interrupt` to a cheap
-  callable and ``solve`` returns ``None`` (unknown) soon after it turns
-  true, with the solver state intact for the next call. The callback is
-  polled on conflicts, decisions, *and* propagations, so even a
-  conflict-free solve notices cancellation promptly.
+  phase), which the registered ``cdcl-*`` backends set.
 
 Internally the solver is arena-ized: clauses live in one flat Python
 int list (``[size, lit0, lit1, ...]`` records addressed by integer
@@ -43,22 +38,8 @@ from repro.errors import SolverError
 
 _TRUE, _FALSE, _UNASSIGNED = 1, 0, -1
 
-#: How many conflicts pass between interrupt-callback polls.
-_INTERRUPT_GRANULARITY = 64
-#: How many decisions pass between interrupt-callback polls.
-_INTERRUPT_DECISIONS = 64
-#: How many propagations pass between interrupt-callback polls. A
-#: propagation-heavy solve with few conflicts (long implication chains)
-#: previously ignored cancellation for unbounded time; this bounds the
-#: poll latency by trail work, not just by conflicts.
-_INTERRUPT_PROPAGATIONS = 1024
-
 #: Sentinel clause reference meaning "no clause" (decision / no conflict).
 _NO_CREF = -1
-
-
-class _Interrupted(Exception):
-    """Internal signal: the interrupt callback asked the search to stop."""
 
 
 def _encode(lit):
@@ -69,9 +50,9 @@ def _encode(lit):
 class Solver:
     """Incremental CDCL solver over a flat clause arena.
 
-    The keyword arguments are the tunable search heuristics exposed to
-    the portfolio layer; the defaults reproduce the original fixed
-    behaviour exactly.
+    The keyword arguments are the tunable search heuristics of the
+    registered ``cdcl-*`` configurations; the defaults reproduce the
+    original fixed behaviour exactly.
 
     ``var_decay`` / ``clause_decay``
         EVSIDS decay factors in ``(0, 1]`` (activities are bumped by a
@@ -124,11 +105,6 @@ class Solver:
         self._phase_default = bool(phase_default)
         self._learnt_cap = int(learnt_cap)
         self._max_learnts = 0.0   # adaptive DB budget, set per solve call
-        self._searching = False
-        self._prop_countdown = _INTERRUPT_PROPAGATIONS
-        #: Optional zero-argument callable polled during search; when it
-        #: returns true, ``solve`` stops and returns ``None`` (unknown).
-        self.interrupt = None
         # statistics
         self.num_conflicts = 0
         self.num_decisions = 0
@@ -220,12 +196,7 @@ class Solver:
     # Solving
     # ------------------------------------------------------------------
     def solve(self, assumptions=()):
-        """True iff satisfiable under ``assumptions`` (list of literals).
-
-        Returns ``None`` — *unknown*, not falsy-UNSAT — when the
-        :attr:`interrupt` callback fired mid-search; the solver keeps its
-        clause store (and learnt clauses) and may be solved again.
-        """
+        """True iff satisfiable under ``assumptions`` (list of literals)."""
         self.num_solve_calls += 1
         if self._unsat:
             return False
@@ -241,40 +212,26 @@ class Solver:
             enc_assumptions.append(
                 (lit << 1) if lit > 0 else ((-lit) << 1) | 1)
 
-        self._searching = self.interrupt is not None
-        self._prop_countdown = _INTERRUPT_PROPAGATIONS
         # MiniSat-style adaptive learnt-DB budget: start at a third of
         # the problem clauses, grow 10% per restart. ``learnt_cap`` (the
         # seed trigger) stays as the hard ceiling, so reduction is never
         # *later* than it was, only earlier — keeping watch lists short.
         self._max_learnts = max(len(self._clauses) / 3.0, 100.0)
-        try:
-            restart = 0
-            while True:
-                if self.interrupt is not None and self.interrupt():
-                    self._cancel_until(0)
-                    self._model = None  # a prior solve's model must not leak
-                    return None
-                threshold = self._restart_base * _luby(restart)
-                try:
-                    status = self._search(threshold, enc_assumptions)
-                except _Interrupted:
-                    self._cancel_until(0)
-                    self._model = None
-                    return None
-                restart += 1
-                if status is None:
-                    self.num_restarts += 1
-                    self._max_learnts *= 1.1
-                    continue
-                if status:
-                    self._model = [_UNASSIGNED, *self._val[2::2]]
-                    self._cancel_until(0)
-                    return True
+        restart = 0
+        while True:
+            threshold = self._restart_base * _luby(restart)
+            status = self._search(threshold, enc_assumptions)
+            restart += 1
+            if status is None:
+                self.num_restarts += 1
+                self._max_learnts *= 1.1
+                continue
+            if status:
+                self._model = [_UNASSIGNED, *self._val[2::2]]
                 self._cancel_until(0)
-                return False
-        finally:
-            self._searching = False
+                return True
+            self._cancel_until(0)
+            return False
 
     def model_value(self, var):
         """Truth value of ``var`` in the last satisfying model."""
@@ -315,7 +272,6 @@ class Solver:
     def _search(self, conflict_budget, assumptions):
         """Run until SAT (True), UNSAT (False), or restart (None)."""
         conflicts_here = 0
-        interrupt = self.interrupt
         val = self._val
         trail_lim = self._trail_lim
         while True:
@@ -323,10 +279,6 @@ class Solver:
             if conflict != _NO_CREF:
                 self.num_conflicts += 1
                 conflicts_here += 1
-                if (interrupt is not None
-                        and self.num_conflicts % _INTERRUPT_GRANULARITY == 0
-                        and interrupt()):
-                    raise _Interrupted
                 if not trail_lim:
                     self._unsat = True
                     return False
@@ -365,14 +317,6 @@ class Solver:
                 if next_enc == _NO_CREF:
                     return True  # complete assignment
                 self.num_decisions += 1
-                if (interrupt is not None
-                        and self.num_decisions % _INTERRUPT_DECISIONS == 0
-                        and interrupt()):
-                    # The branch stays unassigned: give it its entry back.
-                    var = next_enc >> 1
-                    act = self._queued[var] = self._activity[var]
-                    heapq.heappush(self._order, (-act, var))
-                    raise _Interrupted
             trail_lim.append(len(self._trail))
             self._enqueue(next_enc, _NO_CREF)
 
@@ -388,21 +332,10 @@ class Solver:
         qhead = self._qhead
         dl = len(self._trail_lim)
         props = 0
-        interrupt = self.interrupt if self._searching else None
-        countdown = self._prop_countdown
         while qhead < len(trail):
             lit = trail[qhead]
             qhead += 1
             props += 1
-            if interrupt is not None:
-                countdown -= 1
-                if countdown <= 0:
-                    countdown = _INTERRUPT_PROPAGATIONS
-                    if interrupt():
-                        self._qhead = qhead
-                        self.num_propagations += props
-                        self._prop_countdown = countdown
-                        raise _Interrupted
             false_enc = lit ^ 1
 
             # Binary clauses: no watch migration, just check the partner.
@@ -419,7 +352,6 @@ class Solver:
                 elif ov == _FALSE:
                     self._qhead = len(trail)
                     self.num_propagations += props
-                    self._prop_countdown = countdown
                     return pair[1]
 
             # Long clauses: (blocker, cref) pairs. ``out`` is a lazily
@@ -470,7 +402,6 @@ class Solver:
                             watches[false_enc] = out
                         self._qhead = len(trail)
                         self.num_propagations += props
-                        self._prop_countdown = countdown
                         return cref
                     val[first] = _TRUE
                     val[first ^ 1] = _FALSE
@@ -482,7 +413,6 @@ class Solver:
                 watches[false_enc] = out
         self._qhead = qhead
         self.num_propagations += props
-        self._prop_countdown = countdown
         return _NO_CREF
 
     def _analyze(self, conflict):

@@ -106,8 +106,6 @@ class TestLookupErrors:
             p.coerce(True, "x", "k")
         with pytest.raises(SpecError):
             Param("int").coerce("3", "x", "k")
-        assert Param("int", 1, aliases=(("auto", None),)).coerce(
-            "auto", "x", "k") is None
 
 
 class TestThirdPartyExtension:

@@ -179,10 +179,10 @@ class TestGrids:
         assert expand_grid("seq-sat?dip_batch=4") == ["seq-sat?dip_batch=4"]
         assert expand_grid("removal") == ["removal"]
 
-    def test_portfolio_commas_stay_literal(self):
-        (spec,) = expand_grid("seq-sat?portfolio=cdcl,cdcl-agile")
+    def test_commas_stay_literal(self):
+        (spec,) = expand_grid("my-attack?label=b12,s27")
         _, params = parse_spec(spec)
-        assert params["portfolio"] == "cdcl,cdcl-agile"
+        assert params["label"] == "b12,s27"
 
     def test_bad_ranges(self):
         with pytest.raises(SpecError):

@@ -45,10 +45,6 @@ def fail_cell(message):
     raise ValueError(message)
 
 
-def cpu_share_cell(tag):
-    return {"tag": tag, "share": os.environ.get("REPRO_CPU_SHARE")}
-
-
 def slow_cell(seconds):
     time.sleep(seconds)
     return {"slept": seconds}
@@ -225,17 +221,6 @@ class TestCampaignExecutor:
         values = Campaign(jobs=2).values(specs)
         assert [v["tag"] for v in values] == [0, 1, 2, 3]
         assert all(v["pid"] != os.getpid() for v in values)
-
-    def test_pool_workers_learn_their_cpu_share(self):
-        """Cell workers see the sibling count, so in-cell auto solver
-        races divide the machine instead of each claiming all of it."""
-        specs = [
-            CellSpec.make("tests.test_campaign:cpu_share_cell",
-                          {"tag": index})
-            for index in range(4)
-        ]
-        values = Campaign(jobs=2).values(specs)
-        assert all(v["share"] == "2" for v in values)
 
     def test_failure_is_captured_not_raised(self):
         specs = [
@@ -461,10 +446,9 @@ class TestExperimentCampaigns:
 
 
 class TestAttackEngineFlags:
-    """Runner flags for the in-cell attack engine (PR 3): the serial
-    defaults stay byte-identical to the pre-portfolio runner, explicit
-    serial spellings hit the same cached cells, and engine knobs mint
-    fresh cells without changing the resilience numbers."""
+    """Runner flags for the in-cell attack engine: explicit default
+    spellings hit the same cached cells, and engine knobs mint fresh
+    cells without changing the resilience numbers."""
 
     def run_table1(self, capsys, extra=()):
         assert runner_main(["table1", "--scale", "0.08", *extra]) == 0
@@ -477,8 +461,7 @@ class TestAttackEngineFlags:
         base, first_err = self.run_table1(capsys)
         assert "[cache: 0 hits, 1 misses" in first_err
         explicit, err = self.run_table1(
-            capsys, ["--attack-jobs", "1", "--dip-batch", "1",
-                     "--portfolio", "default"])
+            capsys, ["--dip-batch", "1", "--solver", "cdcl"])
         # Same cells (equivalent spellings normalize to one cache key),
         # hence the exact bytes of the default run — seconds included.
         assert explicit == base
@@ -487,16 +470,14 @@ class TestAttackEngineFlags:
     def test_engine_knobs_mint_fresh_cells(self, capsys):
         self.run_table1(capsys)
         _, err = self.run_table1(
-            capsys, ["--dip-batch", "2", "--portfolio", "race2",
-                     "--attack-jobs", "auto"])
+            capsys, ["--dip-batch", "2", "--solver", "cdcl-stable"])
         # Knobs are part of the cache key: nothing stale is replayed.
         assert "[cache: 0 hits, 1 misses" in err
 
     def test_engine_knobs_do_not_change_resilience(self):
         base = table1_sat_resilience.run(scale=0.08)
         tuned = table1_sat_resilience.run(scale=0.08, dip_batch=2,
-                                          portfolio="race2",
-                                          attack_jobs=None)
+                                          solver="cdcl-stable")
         assert [row["ndip"] for row in base.rows] \
             == [row["ndip"] for row in tuned.rows]
         assert [row["key_ok"] for row in base.rows] \
@@ -511,9 +492,9 @@ class TestAttackEngineFlags:
                             "--dip-batch", "2"]) == 0
         assert "ignores them" not in capsys.readouterr().err
 
-    def test_bad_portfolio_spec_fails_the_experiment(self, capsys):
+    def test_unknown_solver_fails_the_experiment(self, capsys):
         assert runner_main(["table1", "--scale", "0.08",
-                            "--portfolio", "minisat-classic"]) == 1
+                            "--solver", "minisat-classic"]) == 1
         captured = capsys.readouterr()
         assert "FAILED" in captured.out
-        assert "unknown backend" in captured.out
+        assert "unknown solver backend" in captured.out

@@ -154,44 +154,35 @@ class TestAttackCommand:
         assert "max_dips" in text
 
     def test_attack_engine_flags(self, workspace):
-        """--dip-batch/--portfolio/--attack-jobs reach the attack and
-        still recover the key."""
+        """--dip-batch/--solver reach the attack and still recover the
+        key."""
         run_cli(["lock", workspace["design"], "--kappa-s", "1",
                  "--seed", "3", "--out", workspace["locked"],
                  "--key-out", workspace["key"]])
         code, text = run_cli([
             "attack", workspace["design"], workspace["locked"],
             "--kappa", "2", "--depth", "1", "--dip-batch", "2",
-            "--portfolio", "race2", "--attack-jobs", "2"])
+            "--solver", "cdcl-stable"])
         assert code == 0
         assert "key recovered" in text
 
-    def test_attack_jobs_auto(self, workspace):
-        run_cli(["lock", workspace["design"], "--kappa-s", "1",
-                 "--seed", "3", "--out", workspace["locked"],
-                 "--key-out", workspace["key"]])
-        code, text = run_cli([
-            "attack", workspace["design"], workspace["locked"],
-            "--kappa", "2", "--depth", "1", "--portfolio", "race",
-            "--attack-jobs", "auto"])
-        assert code == 0
-        assert "key recovered" in text
-
-    def test_bad_portfolio_spec(self, workspace):
+    def test_unknown_solver_lists_the_registered_ones(self, workspace):
         run_cli(["lock", workspace["design"], "--kappa-s", "1",
                  "--out", workspace["locked"], "--key-out",
                  workspace["key"]])
         code, text = run_cli([
             "attack", workspace["design"], workspace["locked"],
             "--kappa", "2", "--depth", "1",
-            "--portfolio", "minisat-classic"])
+            "--solver", "minisat-classic"])
         assert code == 2
-        assert "error" in text and "unknown backend" in text
+        assert "error" in text and "unknown solver backend" in text
+        assert "cdcl-stable" in text
 
-    def test_bad_attack_jobs_value(self, workspace):
-        with pytest.raises(SystemExit):
-            run_cli(["attack", workspace["design"], workspace["design"],
-                     "--kappa", "2", "--attack-jobs", "several"])
+    def test_race_flags_are_gone(self, workspace):
+        for flags in (["--attack-jobs", "2"], ["--portfolio", "race"]):
+            with pytest.raises(SystemExit):
+                run_cli(["attack", workspace["design"], workspace["design"],
+                         "--kappa", "2", *flags])
 
     def test_attack_recovers_kappa_from_key_file(self, workspace):
         """--key replaces --kappa/--depth re-typing (the footgun fix)."""
@@ -277,8 +268,9 @@ class TestRegistryListings:
         assert "seq-sat" in by_name
         params = by_name["seq-sat"]["params"]
         assert params["dip_batch"]["default"] == 1
-        # Alias spellings are part of the machine-readable schema.
-        assert params["attack_jobs"]["aliases"] == {"auto": None}
+        assert params["solver"] == {
+            "kind": "str", "default": "cdcl",
+            "doc": params["solver"]["doc"]}
 
 
 class TestMatrixCommand:

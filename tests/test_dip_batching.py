@@ -1,28 +1,27 @@
-"""Differential and regression suite for the portfolio attack engine.
+"""Differential and regression suite for the DIP engine's knobs.
 
 Three claims are established here:
 
 * *Differential*: for a grid of small locked benches (κs ∈ {1, 2}),
-  batched-DIP and portfolio attacks recover a key in the same
-  equivalence class as the single-solver baseline — verified by a miter
-  UNSAT check, not by comparing key bits (TriLock keys need not be
-  unique on the attacked window).
+  batched-DIP attacks on each of the CDCL configurations recover a key
+  in the same equivalence class as the default attack — verified by a
+  miter UNSAT check, not by comparing key bits (TriLock keys need not
+  be unique on the attacked window).
 * *Regression*: batched DIP extraction leaves the solver in a state
   equivalent to pinning the same DIPs one at a time (identical
   candidate-key feasible set), even when the batch limit exceeds the
   data-pattern space; and the attack-engine knobs are part of the
-  campaign cache key (no stale hits), while equivalent portfolio
-  spellings share one key.
-* *Serial identity*: ``dip_batch=1`` with the default portfolio walks
-  the exact DIP sequence of the historical single-solver loop.
+  campaign cache key (no stale hits), while Table I's cells share the
+  keys of the equivalent matrix cells.
+* *Serial identity*: ``dip_batch=1`` with the default solver walks
+  the exact DIP sequence of the historical loop.
 
-The full differential grid races real worker processes per variant, so
-it is tagged with the ``portfolio`` marker (run via ``make test-attacks``
-or ``pytest -m portfolio``) and deselected from ``make smoke``.
+Run the whole file with ``make test-attacks``.
 """
 
 import pytest
 
+from repro.api import matrix_cells
 from repro.attacks import (
     DipEngine,
     attack_locked_circuit,
@@ -30,22 +29,17 @@ from repro.attacks import (
     unrolled_attack_view,
 )
 from repro.core import ndip_trilock
-from repro.errors import AttackError
+from repro.errors import AttackError, SolverError
 from repro.experiments import table1_sat_resilience
+from repro.experiments.common import DEFAULT_SCALE
 from repro.netlist import GateOp, Netlist
-from repro.sat import PortfolioSolver
+from repro.sat import make_backend
 
 from tests.conftest import batch_oracle, locked_factory
 from tests.util import reference_outputs
 
-#: (portfolio spec, attack_jobs) grid: 1, 2, and 3 racing configurations.
-#: Worker counts are explicit so real racing happens even on a one-core
-#: CI box (auto mode would sensibly clamp the race away there).
-PORTFOLIOS = [
-    pytest.param("default", 1, id="serial"),
-    pytest.param("cdcl,cdcl-agile", 2, id="race2"),
-    pytest.param("race", 3, id="race3"),
-]
+#: The CDCL configurations the differential grid runs one at a time.
+SOLVERS = ["cdcl", "cdcl-agile", "cdcl-stable"]
 
 
 def and_pair_locked(width=2):
@@ -82,16 +76,13 @@ def assert_comb_keys_equivalent(netlist, key_inputs, key_a, key_b):
     pattern on which the keys disagree.
     """
     engine = DipEngine(netlist, key_inputs)
-    try:
-        assumptions = [engine.act]
-        for mapping, key in ((engine.map_a, key_a), (engine.map_b, key_b)):
-            for net, bit in key.items():
-                var = engine.var_of[mapping[net]]
-                assumptions.append(var if bit else -var)
-        assert engine.solver.solve(assumptions=assumptions) is False, \
-            "recovered keys are distinguishable (different equivalence class)"
-    finally:
-        engine.close()
+    assumptions = [engine.act]
+    for mapping, key in ((engine.map_a, key_a), (engine.map_b, key_b)):
+        for net, bit in key.items():
+            var = engine.var_of[mapping[net]]
+            assumptions.append(var if bit else -var)
+    assert engine.solver.solve(assumptions=assumptions) is False, \
+        "recovered keys are distinguishable (different equivalence class)"
 
 
 def assert_seq_keys_equivalent(locked, key_a, key_b, depth):
@@ -110,7 +101,6 @@ def assert_seq_keys_equivalent(locked, key_a, key_b, depth):
 # ----------------------------------------------------------------------
 # Differential grid: combinational locks with non-unique keys
 # ----------------------------------------------------------------------
-@pytest.mark.portfolio
 class TestCombDifferential:
     SECRET = (True, False, False, True)  # AND values: (False, False)
 
@@ -120,50 +110,34 @@ class TestCombDifferential:
         return netlist, ks, oracle, comb_sat_attack(netlist, ks, oracle)
 
     @pytest.mark.parametrize("dip_batch", [1, 2, 4])
-    @pytest.mark.parametrize("portfolio,jobs", PORTFOLIOS)
-    def test_same_equivalence_class_as_baseline(self, dip_batch, portfolio,
-                                                jobs):
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_same_equivalence_class_as_baseline(self, dip_batch, solver):
         netlist, ks, oracle, base = self.baseline()
         assert base.success
         result = comb_sat_attack(netlist, ks, oracle, dip_batch=dip_batch,
-                                 portfolio=portfolio, attack_jobs=jobs)
+                                 solver=make_backend(solver))
         assert result.success
+        assert result.solver_stats["backend"] == solver
         assert_comb_keys_equivalent(netlist, ks, base.key, result.key)
         # Batching may pin extra patterns (it extracts before it learns)
         # but never loops more rounds than it pins DIPs.
         assert result.n_dips >= base.n_dips
         assert result.n_rounds <= result.n_dips
 
-    def test_injected_portfolio_solver(self):
-        """Explicit PortfolioSolver injection (bypassing the knobs)."""
-        netlist, ks, oracle, base = self.baseline()
-        solver = PortfolioSolver(("cdcl", "cdcl-agile"))
-        with solver:
-            result = comb_sat_attack(netlist, ks, oracle, dip_batch=2,
-                                     solver=solver)
-        assert result.success
-        assert result.solver_stats["backend"] == "portfolio"
-        assert sum(result.solver_stats["wins"].values()) == \
-            result.solver_stats["solve_calls"]
-        assert_comb_keys_equivalent(netlist, ks, base.key, result.key)
-
 
 # ----------------------------------------------------------------------
 # Differential grid: sequential TriLock benches (the paper's setting)
 # ----------------------------------------------------------------------
-@pytest.mark.portfolio
 class TestSequentialDifferential:
     @pytest.mark.parametrize("kappa_s", [1, 2])
     @pytest.mark.parametrize("dip_batch", [1, 2, 4])
-    @pytest.mark.parametrize("portfolio,jobs", PORTFOLIOS)
-    def test_grid_matches_single_solver_baseline(self, kappa_s, dip_batch,
-                                                 portfolio, jobs):
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_grid_matches_default_attack(self, kappa_s, dip_batch, solver):
         locked = locked_factory(kappa_s=kappa_s, kappa_f=1, alpha=0.6,
                                 seed=3)
         base = attack_locked_circuit(locked)
         result = attack_locked_circuit(locked, dip_batch=dip_batch,
-                                       portfolio=portfolio,
-                                       attack_jobs=jobs)
+                                       solver=solver)
         assert base.success and result.success
         assert result.verified
         # Theorem 1 makes every data pattern of the window a DIP, so the
@@ -177,16 +151,44 @@ class TestSequentialDifferential:
         """Spelling the engine defaults explicitly changes nothing."""
         locked = locked_factory(kappa_s=1, kappa_f=1, alpha=0.6, seed=3)
         base = attack_locked_circuit(locked)
-        again = attack_locked_circuit(locked, dip_batch=1,
-                                      portfolio="default", attack_jobs=1)
+        again = attack_locked_circuit(locked, dip_batch=1, solver="cdcl")
         assert base.key.as_int == again.key.as_int
         assert base.n_dips == again.n_dips
         assert base.dips_per_depth == again.dips_per_depth
 
+    def test_each_depth_builds_its_own_backend(self, monkeypatch):
+        """Iterative deepening hands every depth a fresh backend of the
+        named solver."""
+        import repro.attacks.seq_sat as seq_sat
+        from repro.bench import load_benchmark
+        from repro.core import lock, naive_config
+
+        solvers = []
+        original = seq_sat.comb_sat_attack
+
+        def watching(*args, **kwargs):
+            solvers.append(kwargs["solver"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(seq_sat, "comb_sat_attack", watching)
+        locked = lock(load_benchmark("s27"), naive_config(2, seed=1))
+        result = attack_locked_circuit(locked, known_depth=1,
+                                       solver="cdcl-agile")
+        assert result.success
+        assert len(solvers) == len(result.depths_tried) >= 2
+        assert len({id(solver) for solver in solvers}) == len(solvers)
+        assert {solver.stats()["backend"] for solver in solvers} \
+            == {"cdcl-agile"}
+
+    def test_unknown_solver_lists_the_registered_ones(self):
+        locked = locked_factory(kappa_s=1, kappa_f=1, alpha=0.6, seed=3)
+        with pytest.raises(SolverError, match="known: .*cdcl-stable"):
+            attack_locked_circuit(locked, solver="race2")
+
 
 @pytest.mark.smoke
 class TestSerialIdentity:
-    """``dip_batch=1`` + default portfolio retraces the historical DIP
+    """``dip_batch=1`` + the default solver retraces the historical DIP
     walk exactly, not merely an equivalent one."""
 
     def test_serial_dip_sequence_is_identical(self):
@@ -195,8 +197,7 @@ class TestSerialIdentity:
                                  TestCombDifferential.SECRET)
         base = comb_sat_attack(netlist, ks, oracle, collect_dips=True)
         again = comb_sat_attack(netlist, ks, oracle, collect_dips=True,
-                                dip_batch=1, portfolio="default",
-                                attack_jobs=1)
+                                dip_batch=1, solver=make_backend("cdcl"))
         assert base.dips == again.dips
         assert base.key == again.key
         assert base.n_rounds == again.n_rounds == base.n_dips
@@ -216,21 +217,15 @@ class TestBatchedPinningEquivalence:
     def test_feasible_set_matches_sequential_pinning(self):
         netlist, ks, oracle = self.engines()
         batched = DipEngine(netlist, ks)
-        try:
-            batch = batched.find_dip_batch(3)
-            assert 1 <= len(batch) <= 3
-            pairs = list(zip(batch, oracle(batch)))
-            for dip, response in pairs:
-                batched.pin_response(dip, response)
-            serial = DipEngine(netlist, ks)
-            try:
-                for dip, response in pairs:  # no blocking clauses
-                    serial.pin_response(dip, response)
-                assert batched.feasible_keys() == serial.feasible_keys()
-            finally:
-                serial.close()
-        finally:
-            batched.close()
+        batch = batched.find_dip_batch(3)
+        assert 1 <= len(batch) <= 3
+        pairs = list(zip(batch, oracle(batch)))
+        for dip, response in pairs:
+            batched.pin_response(dip, response)
+        serial = DipEngine(netlist, ks)
+        for dip, response in pairs:  # no blocking clauses
+            serial.pin_response(dip, response)
+        assert batched.feasible_keys() == serial.feasible_keys()
 
     def test_batch_limit_beyond_pattern_space(self):
         """A batch limit larger than the data space must not wedge key
@@ -284,45 +279,34 @@ class TestBatchedPinningEquivalence:
         assert batched.n_dips >= serial.n_dips
         assert_comb_keys_equivalent(netlist, ks, serial.key, batched.key)
 
-    def test_interrupted_solve_is_an_error_not_unsat(self):
-        """A cancelled (unknown) miter solve must not read as 'no DIP
-        remains' — that would report success with a wrong key."""
-        from repro.sat import make_backend
+    def test_unknown_answer_is_an_error_not_unsat(self):
+        """A backend that gives up (answers ``None``) must not read as
+        'no DIP remains' — that would report success with a wrong key."""
+
+        class GivesUp:
+            def __init__(self):
+                self._inner = make_backend("cdcl")
+
+            def __getattr__(self, name):
+                return getattr(self._inner, name)
+
+            def solve(self, assumptions=()):
+                return None
 
         netlist, ks, oracle = self.engines()
-        solver = make_backend("cdcl")
-        engine = DipEngine(netlist, ks, solver=solver)
-        try:
-            solver.interrupt = lambda: True
-            with pytest.raises(AttackError):
-                engine.find_dip_batch()
-            with pytest.raises(AttackError):
-                engine.solve_key()
-        finally:
-            engine.close()
-
-    def test_injected_solver_excludes_engine_knobs(self):
-        """solver= and portfolio/attack_jobs are mutually exclusive —
-        silently dropping the knobs would fake a race."""
-        netlist, ks, oracle = self.engines()
-        with PortfolioSolver(("cdcl", "cdcl-agile")) as solver:
-            with pytest.raises(AttackError):
-                comb_sat_attack(netlist, ks, oracle, solver=solver,
-                                portfolio="race2")
-            with pytest.raises(AttackError):
-                comb_sat_attack(netlist, ks, oracle, solver=solver,
-                                attack_jobs=2)
+        engine = DipEngine(netlist, ks, solver=GivesUp())
+        with pytest.raises(AttackError):
+            engine.find_dip_batch()
+        with pytest.raises(AttackError):
+            engine.solve_key()
 
     def test_bad_batch_limit_rejected(self):
         netlist, ks, oracle = self.engines()
         with pytest.raises(AttackError):
             comb_sat_attack(netlist, ks, oracle, dip_batch=0)
         engine = DipEngine(netlist, ks)
-        try:
-            with pytest.raises(AttackError):
-                engine.find_dip_batch(0)
-        finally:
-            engine.close()
+        with pytest.raises(AttackError):
+            engine.find_dip_batch(0)
 
 
 # ----------------------------------------------------------------------
@@ -339,34 +323,35 @@ class TestCacheKeyKnobs:
     def test_each_knob_changes_the_key(self):
         base = self.first_key()
         assert self.first_key(dip_batch=4) != base
-        assert self.first_key(attack_jobs=None) != base
-        # Portfolio alone, with the worker budget held fixed:
-        assert self.first_key(portfolio="cdcl,cdcl-agile", attack_jobs=2) \
-            != self.first_key(portfolio="cdcl,cdcl-flip", attack_jobs=2)
-
-    def test_equivalent_portfolio_spellings_share_a_key(self):
-        """No spurious cache misses: None / 'default' / 'cdcl' are the
-        same engine and must address the same cached cell."""
-        assert self.first_key(portfolio=None) \
-            == self.first_key(portfolio="default") \
-            == self.first_key(portfolio="cdcl")
+        assert self.first_key(solver="cdcl-stable") != base
+        assert self.first_key(solver="cdcl-agile") \
+            != self.first_key(solver="cdcl-stable")
 
     def test_knob_cells_do_not_collide_pairwise(self):
         keys = {
             self.first_key(),
             self.first_key(dip_batch=2),
             self.first_key(dip_batch=4),
-            self.first_key(portfolio="race2", attack_jobs=2),
-            self.first_key(portfolio="race", attack_jobs=3),
-            self.first_key(attack_jobs=None),
+            self.first_key(solver="cdcl-agile"),
+            self.first_key(solver="cdcl-stable"),
+            self.first_key(dip_batch=2, solver="cdcl-stable"),
         }
         assert len(keys) == 6
 
-    def test_incoherent_engine_combination_fails_eagerly(self):
-        """A named portfolio that the serial default would silently
-        truncate is rejected when the cells are enumerated, before any
-        attack runs."""
-        from repro.errors import SolverError
+    def test_unknown_solver_fails_eagerly(self):
+        """An unregistered solver name is rejected when the cells are
+        enumerated, before any attack runs."""
+        with pytest.raises(SolverError, match="known: .*cdcl-stable"):
+            self.first_key(solver="race")
 
-        with pytest.raises(SolverError):
-            self.first_key(portfolio="race")
+    def test_table1_cells_share_the_matrix_keys(self):
+        """Every attacked Table I cell is the plain ``seq-sat`` matrix
+        cell of its circuit and scheme, so the two share cache entries."""
+        pairs = table1_sat_resilience.measured_pairs("full")
+        cells = table1_sat_resilience.cells(effort="full")
+        assert len(pairs) == len(cells) == 3
+        for (name, kappa_s), cell in zip(pairs, cells):
+            (matrix,) = matrix_cells(
+                [name], [f"trilock?kappa_s={kappa_s}&kappa_f=1&alpha=0.6"
+                         f"&s_pairs=10"], ["seq-sat"], scale=DEFAULT_SCALE)
+            assert cell.key() == matrix.key(), (name, kappa_s)

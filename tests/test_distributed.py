@@ -1,9 +1,10 @@
 """Distributed campaign execution: backend equivalence, the socket
-scheduler/worker protocol, 2-D (cells x in-cell width) placement,
-dead-worker requeue, and scheduler-side timeouts."""
+scheduler/worker protocol, placement within each worker's advertised
+cores, dead-worker requeue, and scheduler-side timeouts."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import multiprocessing
 import os
@@ -22,10 +23,8 @@ from repro.campaign import (
     Scheduler,
     backend_names,
     canonical_json,
-    engine_width,
     resolve_backend,
 )
-from repro.campaign.backends import host_cores
 from repro.campaign.scheduler import (
     MAX_ATTEMPTS,
     _Assignment,
@@ -38,7 +37,7 @@ from repro.campaign.wire import (
     parse_hostport,
     send_message,
 )
-from repro.campaign.worker import cpu_share_for, run_worker
+from repro.campaign.worker import run_worker
 from repro.errors import CampaignError
 
 pytestmark = pytest.mark.smoke
@@ -70,8 +69,8 @@ def touch_cell(path):
     return {"touched": True}
 
 
-def track_cell(outdir, tag, seconds, attack_jobs, portfolio=None):
-    """Record this cell's execution window, host worker, and CPU share."""
+def track_cell(outdir, tag, seconds):
+    """Record this cell's execution window and host worker."""
     start = time.time()
     time.sleep(seconds)
     record = {
@@ -79,8 +78,6 @@ def track_cell(outdir, tag, seconds, attack_jobs, portfolio=None):
         "worker": os.getppid(),
         "start": start,
         "end": time.time(),
-        "width": attack_jobs,
-        "share": os.environ.get("REPRO_CPU_SHARE"),
     }
     with open(os.path.join(outdir, f"{tag}.json"), "w",
               encoding="utf-8") as handle:
@@ -304,8 +301,8 @@ class TestDistributedFailures:
                 deadline = now - 1 if index < 2 else now + 60
                 worker.assigned[index] = _Assignment(
                     task=_Task(index=index, fn="f", kwargs={},
-                               key=str(index), width=1, label=f"t{index}"),
-                    consumed=1, started=now - 2, deadline=deadline)
+                               key=str(index), label=f"t{index}"),
+                    started=now - 2, deadline=deadline)
             scheduler._workers = {worker.sock: worker}
             scheduler._enforce_timeouts()
         finally:
@@ -322,155 +319,40 @@ class TestDistributedFailures:
 
 
 # ----------------------------------------------------------------------
-# 2-D placement
+# Placement: one cell per advertised core
 # ----------------------------------------------------------------------
-class TestTwoDimensionalPlacement:
-    def _run_tracked(self, backend, tmp_path, widths, cores, seconds=0.3):
+class TestPlacement:
+    def test_no_worker_runs_more_cells_than_its_cores(self, backend,
+                                                      tmp_path):
         outdir = str(tmp_path / "track")
-        os.makedirs(outdir, exist_ok=True)
+        os.makedirs(outdir)
         specs = [
             CellSpec.make("tests.test_distributed:track_cell",
                           {"outdir": outdir, "tag": f"t{i}",
-                           "seconds": seconds, "attack_jobs": width,
-                           "portfolio": None},
+                           "seconds": 0.3},
                           label=f"track/{i}")
-            for i, width in enumerate(widths)
+            for i in range(6)
         ]
-        assert [spec.width() for spec in specs] == list(widths)
-        workers = _start_workers(backend.address, 1, cores=cores)
+        backend.min_workers = 2
+        workers = _start_workers(backend.address, 2, cores=2)
         try:
             results = Campaign(backend=backend).run(specs)
         finally:
             _stop_workers(workers)
         assert all(r.ok for r in results)
-        return [r.value for r in results]
-
-    def test_wide_cells_never_overcommit_a_worker(self, backend, tmp_path):
-        records = self._run_tracked(backend, tmp_path,
-                                    widths=[2, 2, 2, 2], cores=2)
-        # Width-2 cells on a 2-core worker must serialize: any two
-        # overlapping execution windows would exceed the advertised
-        # capacity.
-        for one in records:
-            for two in records:
-                if one["tag"] >= two["tag"]:
-                    continue
-                overlap = min(one["end"], two["end"]) \
-                    - max(one["start"], two["start"])
+        by_worker = {}
+        for result in results:
+            record = result.value
+            by_worker.setdefault(record["worker"], []).append(record)
+        # Intervals on a line: no instant is inside three windows of one
+        # worker iff no three of its windows overlap pairwise at once.
+        for records in by_worker.values():
+            for trio in itertools.combinations(records, 3):
+                overlap = min(one["end"] for one in trio) \
+                    - max(one["start"] for one in trio)
                 assert overlap <= 0, (
-                    f"{one['tag']} and {two['tag']} co-placed "
-                    f"({overlap:.3f}s overlap) past 2 cores")
-
-    def test_cpu_share_published_per_placement(self, backend, tmp_path):
-        records = self._run_tracked(backend, tmp_path,
-                                    widths=[2, 1, 1], cores=2)
-        by_width = {record["width"]: record["share"] for record in records}
-        # The share divides the *real* host CPU count inside
-        # repro.sat.cpu_budget, so it is derived from real cores with
-        # ceiling division: the resulting budget never exceeds the
-        # grant, however many cores the worker advertised.
-        real = host_cores()
-        assert by_width[2] == str(max(1, -(-real // 2)))
-        assert by_width[1] == str(real)
-        budget_1 = max(1, real // int(by_width[1]))
-        budget_2 = max(1, real // int(by_width[2]))
-        assert budget_1 == 1
-        assert 1 <= budget_2 <= 2
-
-    def test_cpu_share_for_derives_from_real_cores(self):
-        real = host_cores()
-        assert cpu_share_for(1, 2) == real
-        assert cpu_share_for(2, 2) == max(1, -(-real // 2))
-        # The grant is clamped to the worker's advertised capacity, and
-        # malformed grants degrade to 1 core.
-        assert cpu_share_for(99, 2) == max(1, -(-real // 2))
-        assert cpu_share_for(None, 4) == real
-
-    def test_cpu_share_never_oversubscribes_the_grant(self, monkeypatch):
-        # Regression: floor division rounded the share *down*, handing a
-        # 3-core grant on an 8-core host share 8//3=2 and therefore a
-        # budget of 8//2=4 cores — more than was granted.  The budget
-        # the worker-side solver derives (cpus // share) must never
-        # exceed the grant.
-        import repro.campaign.worker as worker_mod
-
-        monkeypatch.setattr(worker_mod, "host_cores", lambda: 8)
-        for granted in range(1, 9):
-            share = cpu_share_for(granted, 8)
-            budget = max(1, 8 // share)
-            assert budget <= granted, (
-                f"grant {granted}: share {share} yields budget {budget}")
-        assert cpu_share_for(3, 8) == 3  # the motivating case: 8//3=2 was wrong
-
-    def test_pick_worker_packs_by_free_cores(self):
-        listen = socket.socket()
-        listen.bind(("127.0.0.1", 0))
-        listen.listen(1)
-        try:
-            scheduler = Scheduler(listen)
-            small = _WorkerState(object(), ("h1", 1))
-            small.registered, small.cores, small.free = True, 2, 1
-            big = _WorkerState(object(), ("h2", 2))
-            big.registered, big.cores, big.free = True, 4, 3
-            scheduler._workers = {1: small, 2: big}
-            # width 1 goes to the most-free worker; width 3 only fits
-            # the big one; width 2 exceeds small's free core.
-            assert scheduler._pick_worker(1) is big
-            assert scheduler._pick_worker(3) is big
-            assert scheduler._pick_worker(2) is big
-            big.free = 2
-            assert scheduler._pick_worker(3) is None  # busy: must drain
-            # A cell wider than every worker runs alone on an idle one.
-            big.free = 4
-            assert scheduler._pick_worker(9) is big
-            big.free = 3
-            assert scheduler._pick_worker(9) is None
-        finally:
-            listen.close()
-
-
-# ----------------------------------------------------------------------
-# Cell width declaration
-# ----------------------------------------------------------------------
-class TestCellWidth:
-    def test_plain_cells_are_width_one(self):
-        assert _add_spec(1).width() == 1
-
-    def test_direct_attack_jobs_kwargs(self):
-        spec = CellSpec.make("m:f", {"attack_jobs": 3, "portfolio": None})
-        assert spec.width() == 3
-
-    def test_auto_jobs_width_is_portfolio_size(self):
-        spec = CellSpec.make(
-            "m:f", {"attack_jobs": None,
-                    "portfolio": ["cdcl", "cdcl-agile", "cdcl-stable"]})
-        assert spec.width() == 3
-        assert engine_width(None, "race2") == 2
-        assert engine_width(None, None) == 1
-
-    def test_matrix_attack_spec_width(self):
-        spec = CellSpec.matrix("s27", "trilock?kappa_s=1",
-                               "seq-sat?attack_jobs=4&portfolio=all")
-        assert spec.width() == 4
-        auto = CellSpec.matrix("s27", "trilock?kappa_s=1",
-                               "seq-sat?attack_jobs=auto&portfolio=race2")
-        assert auto.width() == 2
-        assert CellSpec.matrix("s27", "trilock?kappa_s=1",
-                               "removal").width() == 1
-
-    def test_malformed_declarations_degrade_to_one(self):
-        assert engine_width("nonsense", None) == 1
-        assert engine_width(None, "no-such-backend") == 1
-
-    def test_wire_roundtrip_preserves_key_and_width(self):
-        spec = CellSpec.matrix("s27", "trilock?kappa_s=2",
-                               "seq-sat?attack_jobs=2&portfolio=race2")
-        clone = CellSpec.from_wire(spec.to_wire())
-        assert clone == spec
-        assert clone.key() == spec.key()
-        assert clone.width() == spec.width()
-        with pytest.raises(CampaignError):
-            CellSpec.from_wire({"params": {}})
+                    f"{[one['tag'] for one in trio]} ran at once "
+                    f"({overlap:.3f}s) on a 2-core worker")
 
 
 # ----------------------------------------------------------------------
@@ -494,6 +376,15 @@ class TestBackendResolution:
             resolve_backend("distributed", jobs=4)
         with pytest.raises(CampaignError):
             resolve_backend(42)
+
+    def test_cell_spec_wire_roundtrip(self):
+        spec = CellSpec.matrix("s27", "trilock?kappa_s=2",
+                               "seq-sat?solver=cdcl-stable")
+        clone = CellSpec.from_wire(spec.to_wire())
+        assert clone == spec
+        assert clone.key() == spec.key()
+        with pytest.raises(CampaignError):
+            CellSpec.from_wire({"params": {}})
 
 
 class TestWire:
@@ -708,7 +599,7 @@ class TestWorkerShutdownDrain:
             read_until("register")
             send_message(conn, {"type": "welcome", "heartbeat": 60.0})
             send_message(conn, {"type": "cell", "id": 0, "key": "k0",
-                                "label": "touch", "width": 1, "cores": 1})
+                                "label": "touch"})
             read_until("need")
             send_message(conn, {"type": "job", "id": 0,
                                 "fn": "tests.test_distributed:touch_cell",

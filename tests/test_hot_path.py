@@ -1,6 +1,6 @@
 """Hot-path coverage: a differential grid for the native solver
-backend, the interrupt-latency regression, the FC seed-derivation fix,
-and the typed-extrapolation-error cases."""
+backend, the FC seed-derivation fix, and the typed-extrapolation-error
+cases."""
 
 import random
 import shlex
@@ -17,7 +17,6 @@ from repro.metrics import (
 from repro.metrics.resilience import ResilienceMeasurement
 from repro.sat import (
     NativeUnavailableBackend,
-    Solver,
     dpll_solve,
     in_tree_engine_argv,
     make_backend,
@@ -28,12 +27,10 @@ from tests.test_solver_backends import random_3cnf, random_assumptions
 pytestmark = pytest.mark.smoke
 
 
-def _native_env(monkeypatch, sleep=None):
+def _native_env(monkeypatch):
     monkeypatch.setenv(
         "REPRO_SAT_BINARY",
         " ".join(shlex.quote(part) for part in in_tree_engine_argv()))
-    if sleep is not None:
-        monkeypatch.setenv("REPRO_DIMACS_ENGINE_SLEEP", str(sleep))
 
 
 # ----------------------------------------------------------------------
@@ -74,14 +71,6 @@ class TestNewBackendsAgainstDpll:
         assert backend.add_clause([-2])
         assert backend.solve() is False
 
-    def test_native_interrupt_honored(self, monkeypatch):
-        _native_env(monkeypatch, sleep=5)
-        backend = make_backend("native")
-        backend.ensure_vars(2)
-        backend.add_clause([1, 2])
-        backend.interrupt = lambda: True
-        assert backend.solve() is None
-
     def test_native_unavailable_is_actionable(self, monkeypatch):
         monkeypatch.delenv("REPRO_SAT_BINARY", raising=False)
         backend = make_backend("native")
@@ -91,55 +80,6 @@ class TestNewBackendsAgainstDpll:
             backend.new_var()
         with pytest.raises(SolverError, match="python-sat"):
             backend.solve()
-
-
-# ----------------------------------------------------------------------
-# Interrupt poll latency (satellite bugfix)
-# ----------------------------------------------------------------------
-class _AfterFirstCall:
-    """False on the first poll (lets the search start), True after."""
-
-    def __init__(self):
-        self.calls = 0
-
-    def __call__(self):
-        self.calls += 1
-        return self.calls > 1
-
-
-class TestInterruptLatency:
-    def _decision_heavy(self, solver):
-        # 200 unconstrained vars: solving is pure decisions, zero
-        # conflicts — the seed only polled every 64 conflicts, so it
-        # ran to completion no matter what interrupt() said mid-search.
-        solver.ensure_vars(200)
-        return solver
-
-    def _propagation_heavy(self, solver):
-        # One decision triggers a 3000-deep implication chain: lots of
-        # propagations, no conflicts.
-        solver.ensure_vars(3000)
-        for var in range(1, 3000):
-            solver.add_clause([var, -(var + 1)])
-        return solver
-
-    def test_conflict_free_decisions_interrupted(self):
-        solver = self._decision_heavy(Solver())
-        solver.interrupt = _AfterFirstCall()
-        assert solver.solve() is None
-
-    def test_conflict_free_propagations_interrupted(self):
-        solver = self._propagation_heavy(Solver())
-        solver.interrupt = _AfterFirstCall()
-        assert solver.solve() is None
-
-    def test_interrupted_solver_recovers(self):
-        solver = self._decision_heavy(Solver())
-        solver.interrupt = _AfterFirstCall()
-        assert solver.solve() is None
-        solver.interrupt = None
-        assert solver.solve() is True
-        assert solver.model() is not None
 
 
 # ----------------------------------------------------------------------

@@ -1,18 +1,20 @@
 """Incremental clause mirroring into the native (DIMACS) backend.
 
 The backend keeps a persistent spool file across solves: each clause is
-serialized exactly once (``serialized_clauses`` proves it), per-solve
-assumption units are appended then truncated away, and portfolio races
-with a ``native`` member ship only the clause *delta* per round
-(``streamed_clauses``), never rebuilding the formula.
+serialized exactly once (``serialized_clauses`` proves it), and per-solve
+assumption units are appended then truncated away.  The engine's answer
+is read while it runs, so a model longer than the pipe buffer cannot
+stall the solve.
 """
 
 import shlex
+import sys
+import threading
 
 import pytest
 
-from repro.sat import in_tree_engine_argv, make_backend
-from repro.sat.portfolio import PortfolioSolver
+from repro.sat import DimacsSubprocessBackend, in_tree_engine_argv, \
+    make_backend
 
 pytestmark = pytest.mark.smoke
 
@@ -66,37 +68,33 @@ class TestIncrementalSpool:
         assert stats["serialized_clauses"] == 2
 
 
-class TestPortfolioNativeMirroring:
-    def test_native_member_reuses_mirrored_store_across_rounds(
-            self, monkeypatch):
-        _native_env(monkeypatch)
-        with PortfolioSolver(("native",)) as portfolio:
-            portfolio.ensure_vars(4)
-            portfolio.add_clause([1, 2])
-            portfolio.add_clause([-1, 3])
-            assert portfolio.solve() is True
-            portfolio.add_clause([-3, 4])
-            assert portfolio.solve() is True
-            assert portfolio.solve(assumptions=[-2]) is True
-            stats = portfolio.stats()
-            # The race streamed each clause to the worker once...
-            assert stats["streamed_clauses"] == 3
-            # ...and the worker's backend serialized each once, across
-            # three solve rounds (no per-solve formula rebuild).
-            winner = stats["winner_stats"]
-            assert winner["backend"] == "native"
-            assert winner["serialized_clauses"] == 3
-            assert winner["solve_calls"] == 3
+class TestLargeModels:
+    #: Variables of the fake engine's one v-line: about 120 KB of output,
+    #: past the 64 KiB pipe buffer (a b12 kappa_s=2 DIP miter has 13,194).
+    N_VARS = 20_000
 
-    def test_streamed_clauses_track_deltas_not_rebuilds(self,
-                                                        monkeypatch):
-        _native_env(monkeypatch)
-        with PortfolioSolver(("cdcl", "native")) as portfolio:
-            portfolio.ensure_vars(3)
-            for clause in ([1, 2], [-1, 3], [2, 3]):
-                portfolio.add_clause(clause)
-            assert portfolio.solve() is True
-            assert portfolio.solve() is True  # no new clauses: delta 0
-            portfolio.add_clause([-2, -3])
-            assert portfolio.solve() is True
-            assert portfolio.stats()["streamed_clauses"] == 4
+    def test_model_larger_than_the_pipe_buffer(self, tmp_path):
+        """A competition-style engine prints its whole model, then exits;
+        an adapter that waits for the exit before reading stdout never
+        returns, because the engine blocks on its full pipe."""
+        engine = tmp_path / "fake_engine.py"
+        engine.write_text(
+            "import sys\n"
+            f"n = {self.N_VARS}\n"
+            "print('s SATISFIABLE')\n"
+            "print('v ' + ' '.join(str(v) for v in range(1, n + 1))"
+            " + ' 0')\n"
+            "sys.exit(10)\n")
+        backend = DimacsSubprocessBackend((sys.executable, str(engine)))
+        backend.ensure_vars(self.N_VARS)
+        backend.add_clause([1, 2])
+        answers = []
+        # A daemon thread joined with a timeout: a hung solve fails the
+        # test instead of hanging the suite.
+        solver = threading.Thread(
+            target=lambda: answers.append(backend.solve()), daemon=True)
+        solver.start()
+        solver.join(timeout=60)
+        assert not solver.is_alive(), "solve() hung on a full pipe"
+        assert answers == [True]
+        assert backend.model_value(self.N_VARS) is True

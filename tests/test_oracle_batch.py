@@ -131,8 +131,7 @@ class SerialOracle(SimulationOracle):
         return [self.query(seq) for seq in sequences]
 
 
-def _attack_pair(kappa_s, dip_batch, portfolio=None, attack_jobs=1,
-                 seed=3):
+def _attack_pair(kappa_s, dip_batch, solver="cdcl", seed=3):
     """Run the same black-box attack against the serial reference and
     the batched oracle; returns ``(result, oracle)`` for each."""
     locked = locked_factory(kappa_s=kappa_s, seed=seed)
@@ -142,7 +141,7 @@ def _attack_pair(kappa_s, dip_batch, portfolio=None, attack_jobs=1,
         out.append((sequential_sat_attack(
             locked.netlist, locked.config.kappa, oracle,
             known_depth=locked.config.kappa_s, dip_batch=dip_batch,
-            portfolio=portfolio, attack_jobs=attack_jobs), oracle))
+            solver=solver), oracle))
     return out
 
 
@@ -166,10 +165,8 @@ class TestBatchedSerialDifferential:
         if dip_batch > 1 and batched.n_dips > 1:
             assert batched_oracle.query_count < serial_oracle.query_count
 
-    @pytest.mark.portfolio
-    def test_identical_under_portfolio_racing(self):
-        (serial, _), (batched, _) = _attack_pair(
-            2, 4, portfolio="cdcl,cdcl-agile", attack_jobs=2)
+    def test_identical_under_another_solver(self):
+        (serial, _), (batched, _) = _attack_pair(2, 4, solver="cdcl-stable")
         assert batched.key == serial.key
         assert batched.n_dips == serial.n_dips
 
@@ -390,28 +387,28 @@ class TestPinningEquivalence:
             dip, response = pins[-1]
             pins[-1] = (dip, (not response[0],) + response[1:])
         expected = reference_feasible_keys(view, key_inputs, pins)
-        with DipEngine(view, key_inputs) as engine:
-            for dip, response in pins:
-                engine.pin_response(dip, response)
-            assert engine.feasible_keys() == expected
-            # Both key copies are pinned, not just the one read back.
-            key_b = [engine.var_of[engine.map_b[net]] for net in key_inputs]
-            assert _admitted_keys(engine.solver, key_b) == expected
+        engine = DipEngine(view, key_inputs)
+        for dip, response in pins:
+            engine.pin_response(dip, response)
+        assert engine.feasible_keys() == expected
+        # Both key copies are pinned, not just the one read back.
+        key_b = [engine.var_of[engine.map_b[net]] for net in key_inputs]
+        assert _admitted_keys(engine.solver, key_b) == expected
 
     def test_pin_batch_equals_one_by_one_pinning(self):
         locked, view, key_inputs = _attack_view()
         streams, feasible = {}, {}
         for mode in ("one-by-one", "batched"):
             spy = SpySolver()
-            with DipEngine(view, key_inputs, solver=spy) as engine:
-                pins = _random_pins(engine, locked, n_pins=5)
-                if mode == "batched":
-                    engine.pin_batch(pins)
-                else:
-                    for dip, response in pins:
-                        engine.pin_response(dip, response)
-                streams[mode] = list(spy.clause_log)
-                feasible[mode] = engine.feasible_keys()
+            engine = DipEngine(view, key_inputs, solver=spy)
+            pins = _random_pins(engine, locked, n_pins=5)
+            if mode == "batched":
+                engine.pin_batch(pins)
+            else:
+                for dip, response in pins:
+                    engine.pin_response(dip, response)
+            streams[mode] = list(spy.clause_log)
+            feasible[mode] = engine.feasible_keys()
         assert streams["batched"] == streams["one-by-one"]
         assert feasible["batched"] == feasible["one-by-one"]
 
@@ -437,14 +434,14 @@ class TestPinningEquivalence:
             folds.append(mapping)
 
         monkeypatch.setattr(InputSpecializer, "fold", recording_fold)
-        with DipEngine(view, key_inputs) as engine:
-            for dip, response in _random_pins(engine, locked, n_pins=6):
-                encoded = set(engine.var_of)
-                folds.clear()
-                engine.pin_response(dip, response)
-                assert len(folds) == 2  # one replay per key copy
-                for mapping in folds:
-                    assert all(mapping[net] in encoded for net in key_only)
-                n_vars = engine.solver.num_vars
-                engine.pin_response(dip, response)
-                assert engine.solver.num_vars == n_vars
+        engine = DipEngine(view, key_inputs)
+        for dip, response in _random_pins(engine, locked, n_pins=6):
+            encoded = set(engine.var_of)
+            folds.clear()
+            engine.pin_response(dip, response)
+            assert len(folds) == 2  # one replay per key copy
+            for mapping in folds:
+                assert all(mapping[net] in encoded for net in key_only)
+            n_vars = engine.solver.num_vars
+            engine.pin_response(dip, response)
+            assert engine.solver.num_vars == n_vars

@@ -351,24 +351,3 @@ class TestHeapOneLiveEntry:
             if cls is Solver:
                 assert_one_live_entry(solver)
         assert stats[0] == stats[1]
-
-    def test_interrupt_at_a_decision_keeps_the_branch_queued(self):
-        """An interrupt between picking a branch and assigning it must
-        leave that variable in the heap, or it cannot be branched on
-        until its next bump."""
-        rng = random.Random(5)
-        cnf = Cnf(200)
-        for _ in range(400):
-            cnf.add_clause([rng.choice((var, -var))
-                            for var in rng.sample(range(1, 201), 3)])
-        solver = Solver()
-        solver.add_cnf(cnf)
-        solver.interrupt = lambda: solver.num_decisions >= 64
-        assert solver.solve() is None
-        assert solver.num_decisions == 64
-        assert_one_live_entry(solver)
-        solver.interrupt = None
-        if solver.solve():
-            assert cnf.evaluate(solver.model())
-        else:
-            assert dpll_solve(cnf) is None

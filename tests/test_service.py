@@ -187,7 +187,7 @@ class TestMultiTenant:
     def test_two_tenants_interleave_on_one_fleet(self, farm, tmp_path):
         """With strict FIFO the second tenant would only start after the
         first tenant's whole backlog; fair share serves the tenant with
-        the fewest running cores, so both appear among the first
+        the fewest running cells, so both appear among the first
         placements."""
         outdir = str(tmp_path / "stamps")
         os.makedirs(outdir)
@@ -312,10 +312,10 @@ class TestMetrics:
 # ----------------------------------------------------------------------
 # Fair-share queue policy (pure unit level)
 # ----------------------------------------------------------------------
-def _task(index, tenant, priority=0, width=1, group="g"):
+def _task(index, tenant, priority=0, group="g"):
     return _Task(index=index, fn="f", kwargs={}, key=f"k{index}",
-                 width=width, label=f"t{index}", group=group,
-                 tenant=tenant, priority=priority)
+                 label=f"t{index}", group=group, tenant=tenant,
+                 priority=priority)
 
 
 class TestFairShareQueue:
@@ -331,14 +331,14 @@ class TestFairShareQueue:
             if task is None:
                 break
             order.append(task.tenant)
-            queue.started(task, 1)
+            queue.started(task)
         assert order == ["a", "b", "a", "b", "a", "b"]
 
     def test_least_loaded_tenant_wins(self):
         queue = FairShareQueue()
         queue.put(_task(0, "a"))
         queue.put(_task(1, "b"))
-        queue.started(_task(9, "a", width=4), 4)  # a already holds cores
+        queue.started(_task(9, "a"))  # a already holds a core
         assert queue.pop_next().tenant == "b"
 
     def test_priority_orders_within_a_tenant(self):
@@ -371,10 +371,12 @@ class TestFairShareQueue:
 
     def test_finished_releases_share(self):
         queue = FairShareQueue()
-        task = _task(0, "a", width=2)
-        queue.started(task, 2)
+        first, second = _task(0, "a"), _task(1, "a")
+        queue.started(first)
+        queue.started(second)
         assert queue.running_cores() == {"a": 2}
-        queue.finished(task, 2)
+        queue.finished(first)
+        queue.finished(second)
         assert queue.running_cores() == {}
 
     def test_idle_tenants_are_pruned_from_fairness_state(self):
@@ -384,8 +386,8 @@ class TestFairShareQueue:
         for index, tenant in enumerate("abcde"):
             queue.put(_task(index, tenant))
             task = queue.pop_next()
-            queue.started(task, 1)
-            queue.finished(task, 1)
+            queue.started(task)
+            queue.finished(task)
         assert queue._served == {} and queue._running == {}
 
     def test_cancelled_tenants_are_pruned_too(self):
@@ -401,9 +403,9 @@ class TestFairShareQueue:
         first, second = _task(0, "a"), _task(1, "a")
         queue.put(first)
         queue.put(second)
-        queue.started(queue.pop_next(), 1)
-        queue.started(queue.pop_next(), 1)
-        queue.finished(first, 1)
+        queue.started(queue.pop_next())
+        queue.started(queue.pop_next())
+        queue.finished(first)
         # One cell still running: history must survive the prune pass.
         assert queue._running == {"a": 1}
         assert "a" in queue._served

@@ -114,10 +114,16 @@ class TestConcurrentWriters:
 
     def test_killed_writer_cannot_corrupt_the_store(self, tmp_path):
         cache = str(tmp_path / "cache")
-        gate = multiprocessing.Event()
         store = ResultStore(cache)
         key = _spec_for(5).key()
         for _ in range(3):
+            # A fresh gate per round: a writer killed while it waits on
+            # the gate takes the Event's lock with it.  And no entry, so
+            # the kill below lands after this writer's own first put,
+            # never while it still sits in the gate.
+            gate = multiprocessing.Event()
+            if os.path.exists(store.path_of(key)):
+                os.remove(store.path_of(key))
             writer = multiprocessing.Process(
                 target=_endless_writer, args=(cache, 5, gate))
             writer.start()
