@@ -5,7 +5,8 @@ export PYTHONPATH := src
 
 .PHONY: test smoke test-attacks campaign-demo matrix-demo \
 	scaling-demo distributed-demo serve-demo bench bench-solver \
-	bench-attack perfbench-smoke table1-standard table1-full
+	bench-attack bench-campaign perfbench-smoke table1-standard \
+	table1-full
 
 test:
 	$(PY) -m pytest -x -q
@@ -56,9 +57,10 @@ scaling-demo:
 	    --ffs 8 --pis 5 --pos 4 --max-dips 64 \
 	    --jobs 2 --cache-dir .repro-cache
 
-# Scale-out smoke: the same matrix grid through the local pool and
-# through the TCP scheduler + two loopback `repro-lock worker` agents,
-# asserting identical results and an all-hits warm rerun.
+# Scale-out smoke: the same matrix grid inline, through the local pool
+# (the scheduler over one forked worker agent) and through the scheduler
+# with two loopback `repro-lock worker` CLI agents, asserting identical
+# results and an all-hits warm rerun.
 distributed-demo:
 	REPRO_SECRET=demo-fleet-secret $(PY) examples/distributed_smoke.py
 
@@ -88,6 +90,13 @@ bench-solver:
 # loop. Writes benchmarks/artifacts/BENCH_attack.json.
 bench-attack:
 	$(PY) -m pytest benchmarks/bench_attack.py -q
+
+# Campaign bench: cold vs warm cache, pool vs distributed scale-out, the
+# tiered warm rerun, and the pool's per-cell overhead (40 sleep(0) cells
+# through --jobs 2 must take under 1 s). Writes
+# benchmarks/artifacts/BENCH_campaign_*.json.
+bench-campaign:
+	$(PY) -m pytest benchmarks/bench_campaign.py -q
 
 # One short run of each of the benchmark's workloads, for their output
 # checks: n_dips = 2^(kappa_s*|I|) and key_ok (dip-loop, bmc-verify),

@@ -1,16 +1,18 @@
 """Campaign-cache and scale-out benchmarks: a cold Table I campaign pays
 for the real SAT attack; the warm rerun is pure content-addressed cache
 hits and must be at least 5x faster while rendering a byte-identical
-table.  Further cells compare the local pool against the distributed
-backend over two loopback workers (identical results; wall-clocks land
-in ``BENCH_campaign_scaleout.json``)."""
+table.  Further cells compare the local pool (the scheduler over one
+forked loopback agent) with the distributed backend over two loopback
+workers, and time the pool's per-cell overhead against inline runs
+(identical results; wall-clocks land in
+``BENCH_campaign_scaleout.json``)."""
 
 import multiprocessing
 import tempfile
 import time
 
 from repro.campaign import Campaign, CellSpec, DistributedBackend, \
-    PoolBackend
+    InlineBackend, PoolBackend
 from repro.campaign.worker import run_worker
 from repro.experiments import table1_sat_resilience
 
@@ -55,11 +57,13 @@ def bench_sleep_cell(tag, seconds):
 
 
 def test_distributed_two_workers_matches_pool(benchmark, artifact_sink,
-                                              bench_json_sink):
-    """Scale-out cell: the same campaign through a 2-wide local pool and
-    through the distributed scheduler with two loopback single-core
-    workers must produce identical results, and the distributed run must
-    actually overlap cells (i.e. beat the serial sum) — the loopback
+                                              bench_json_merge):
+    """Scale-out cell: the same campaign through a 2-wide local pool
+    (the scheduler over one forked 2-core agent) and through the
+    distributed scheduler with two loopback single-core CLI-style
+    workers must produce identical results — both sides are the same
+    scheduler, with different fleets — and the distributed run must
+    actually overlap cells (i.e. beat the serial sum): the loopback
     protocol overhead is bounded, not free."""
     cell_seconds = 0.25
     specs = [
@@ -107,12 +111,54 @@ def test_distributed_two_workers_matches_pool(benchmark, artifact_sink,
         f"pool --jobs 2:            {pool_seconds:.2f}s\n"
         f"distributed (2 workers):  {distributed_seconds:.2f}s "
         "(loopback TCP, scheduler-side cache writes)\n")
-    bench_json_sink("campaign_scaleout", {
+    bench_json_merge("campaign_scaleout", {
         "workload": f"8x{cell_seconds}s sleep cells",
         "serial_sum_seconds": serial_seconds,
         "pool_jobs2_seconds": pool_seconds,
         "distributed_2workers_seconds": distributed_seconds,
     })
+
+
+def test_pool_overhead_per_cell(benchmark, artifact_sink, bench_json_merge):
+    """Per-cell cost of the pool: 40 ``sleep(0)`` cells through
+    ``Campaign(jobs=2)`` and through the inline backend.  The pool run
+    must stay under 1 s: an agent that polls its pipes instead of waking
+    on them, or sockets that hold small frames for a delayed ACK, cost
+    about twice that."""
+    specs = [
+        CellSpec.make("bench_campaign:bench_sleep_cell",
+                      {"tag": tag, "seconds": 0},
+                      experiment="bench", label=f"overhead/{tag}")
+        for tag in range(40)
+    ]
+    start = time.perf_counter()
+    inline = Campaign(backend=InlineBackend()).run(specs)
+    inline_seconds = time.perf_counter() - start
+
+    start = time.perf_counter()
+    pool = run_once(benchmark, Campaign(jobs=2).run, specs)
+    pool_seconds = time.perf_counter() - start
+
+    assert [r.value for r in pool] == [r.value for r in inline]
+    assert all(r.ok for r in pool)
+    assert pool_seconds < 1.0
+    per_cell = {
+        "pool_jobs2_ms_per_cell": 1e3 * pool_seconds / len(specs),
+        "inline_ms_per_cell": 1e3 * inline_seconds / len(specs),
+    }
+    artifact_sink(
+        "campaign_pool_overhead",
+        f"workload: {len(specs)} x sleep(0) cells\n"
+        f"pool --jobs 2: {pool_seconds:.3f}s "
+        f"({per_cell['pool_jobs2_ms_per_cell']:.2f} ms/cell)\n"
+        f"inline:        {inline_seconds:.4f}s "
+        f"({per_cell['inline_ms_per_cell']:.3f} ms/cell)\n")
+    bench_json_merge("campaign_scaleout", {"pool_overhead": {
+        "workload": f"{len(specs)}x sleep(0) cells",
+        "pool_jobs2_seconds": pool_seconds,
+        "inline_seconds": inline_seconds,
+        **per_cell,
+    }})
 
 
 def test_campaign_tiered_warm_rerun(benchmark, artifact_sink,

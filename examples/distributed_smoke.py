@@ -3,13 +3,15 @@
 
 The end-to-end scale-out story in one script (this is what CI runs):
 
-1. expand a small scheme x attack matrix grid,
-2. run it through the local **pool** backend into one cache,
-3. run the *same* grid through the **distributed** backend — a TCP
-   scheduler in this process plus two real ``repro-lock worker``
-   subprocesses over localhost — into a second cache,
-4. assert both backends produced byte-identical cell values and cache
-   keys, in spec order,
+1. expand a small scheme x attack matrix grid and run it **inline**
+   (in this process, no cache),
+2. run it through the local **pool** backend into one cache — the
+   scheduler over one worker agent forked from this process,
+3. run the *same* grid through the **distributed** backend — the same
+   scheduler plus two real ``repro-lock worker`` subprocesses, each a
+   fresh interpreter, over localhost — into a second cache,
+4. assert inline == pool == distributed: byte-identical cell values
+   and cache keys, in spec order,
 5. rerun the distributed campaign warm and assert it is pure cache
    hits (no workers needed at all).
 
@@ -26,6 +28,7 @@ from repro.api import matrix_cells
 from repro.campaign import (
     Campaign,
     DistributedBackend,
+    InlineBackend,
     PoolBackend,
     canonical_json,
 )
@@ -55,11 +58,18 @@ def main():
     print(f"matrix grid: {len(specs)} cells "
           f"({', '.join(spec.describe() for spec in specs)})")
 
+    inline_results = Campaign(backend=InlineBackend()).run(specs)
+    assert all(r.ok for r in inline_results), "inline campaign failed"
     with tempfile.TemporaryDirectory() as pool_cache, \
             tempfile.TemporaryDirectory() as dist_cache:
         pool = Campaign(backend=PoolBackend(2), cache_dir=pool_cache)
         pool_results = pool.run(specs)
         assert all(r.ok for r in pool_results), "pool campaign failed"
+        assert [r.key for r in pool_results] \
+            == [r.key for r in inline_results], "cache keys diverged"
+        assert [stable(r.value) for r in pool_results] \
+            == [stable(r.value) for r in inline_results], \
+            "cell values diverged between inline and pool"
         print(f"pool backend: {pool.stats().summary()}")
 
         backend = DistributedBackend(
@@ -105,7 +115,8 @@ def main():
         print(f"distributed backend (warm): {stats.summary()}")
         backend.close()
 
-    print("distributed smoke OK: pool == distributed, warm rerun all hits")
+    print("distributed smoke OK: inline == pool == distributed, "
+          "warm rerun all hits")
     return 0
 
 

@@ -2,18 +2,17 @@
 
 Experiments express their work as lists of pure :class:`CellSpec` jobs;
 a :class:`Campaign` executes them through a pluggable
-:class:`ExecutorBackend` — inline, a local process pool, or a
-distributed scheduler fanning cells out to remote ``repro-lock worker``
-agents — reading and writing finished values through a
-:class:`ResultStore` keyed by the SHA-256 of each cell's full
-configuration.
+:class:`ExecutorBackend` — inline, or a scheduler fanning cells out to
+``repro-lock worker`` agents (one forked loopback agent for a local
+pool, remote ones for a distributed fleet) — reading and writing
+finished values through a :class:`ResultStore` keyed by the SHA-256 of
+each cell's full configuration.
 """
 
 from repro.campaign.backends import (
     DEFAULT_BIND,
     ExecutorBackend,
     InlineBackend,
-    PoolBackend,
     backend_names,
     register_executor_backend,
     resolve_backend,
@@ -25,7 +24,7 @@ from repro.campaign.model import (
     canonical_json,
     canonical_value,
 )
-from repro.campaign.scheduler import DistributedBackend, Scheduler
+from repro.campaign.scheduler import DistributedBackend, PoolBackend, Scheduler
 from repro.campaign.store import (
     ResultStore,
     StoreStats,

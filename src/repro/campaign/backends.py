@@ -7,13 +7,14 @@ given the pending cells it fills in their :class:`CellResult` slots via
 
 * :class:`InlineBackend` — cells run in this process, one after another
   (no isolation, no timeout enforcement; Ctrl-C aborts cleanly);
-* :class:`PoolBackend` — a local pool of worker processes, one cell per
-  worker at a time, with true per-cell wall-clock timeouts: a cell that
-  exceeds its budget has its worker terminated and **replaced**, so the
-  rest of the campaign keeps running at full width;
 * :class:`DistributedBackend` (``repro.campaign.scheduler``) — a TCP
   scheduler placing cells onto remote ``repro-lock worker`` agents, one
-  cell per advertised core.
+  cell per advertised core, each cell in its own subprocess with a true
+  wall-clock timeout;
+* :class:`PoolBackend` (``repro.campaign.scheduler``) — the same
+  scheduler over one forked worker agent on loopback, ``jobs`` cells at
+  a time, so local and remote cells share one placement, timeout and
+  crash-capture path.
 
 Third-party policies register through :func:`register_executor_backend`
 and are then addressable by name everywhere a backend string is
@@ -22,10 +23,7 @@ accepted (``Campaign(backend=...)``, ``--backend`` on the CLIs).
 
 from __future__ import annotations
 
-import collections
 import importlib
-import multiprocessing
-import multiprocessing.connection
 import os
 import time
 import traceback
@@ -62,22 +60,15 @@ def resolve_cell_fn(path):
 
 
 def kill_process(process, conn=None):
-    """Terminate a cell/worker subprocess, escalating to SIGKILL, and
-    close its pipe.  Shared by the pool and the remote worker agent so
-    teardown semantics cannot drift between backends."""
-    try:
-        process.terminate()
-    except OSError:  # pragma: no cover
-        pass
+    """Terminate a cell subprocess or a pool's worker agent, escalating
+    to SIGKILL, and close its pipe."""
+    process.terminate()  # a no-op on a process that already exited
     process.join(timeout=5)
     if process.is_alive():  # pragma: no cover - SIGTERM ignored
         process.kill()
         process.join(timeout=5)
     if conn is not None:
-        try:
-            conn.close()
-        except OSError:  # pragma: no cover
-            pass
+        conn.close()
 
 
 def _execute_cell(fn_path, kwargs):
@@ -190,185 +181,14 @@ class InlineBackend(ExecutorBackend):
 
 
 # ----------------------------------------------------------------------
-# Local process pool
-# ----------------------------------------------------------------------
-def _pool_worker_main(conn):
-    """Worker loop: receive ``(index, fn, kwargs)``, send the envelope."""
-    while True:
-        try:
-            task = conn.recv()
-        except (EOFError, OSError, KeyboardInterrupt):
-            return
-        if task is None:
-            return
-        index, fn_path, kwargs = task
-        try:
-            conn.send((index, _execute_cell(fn_path, kwargs)))
-        except (KeyboardInterrupt, SystemExit):
-            return
-        except (BrokenPipeError, OSError):
-            return
-
-
-class _PoolWorker:
-    """One pool slot: a worker process plus its duplex pipe."""
-
-    def __init__(self, context):
-        self.conn, child = multiprocessing.Pipe()
-        self.process = context.Process(
-            target=_pool_worker_main, args=(child,))
-        self.process.start()
-        child.close()
-        self.task_index = None
-        self.started = None
-        self.deadline = None
-
-    @property
-    def busy(self):
-        return self.task_index is not None
-
-    def assign(self, index, spec, cell_timeout):
-        self.conn.send((index, spec.fn, spec.kwargs()))
-        self.task_index = index
-        self.started = time.monotonic()
-        self.deadline = None if cell_timeout is None \
-            else self.started + cell_timeout
-
-    def clear(self):
-        self.task_index = None
-        self.started = None
-        self.deadline = None
-
-    def kill(self):
-        kill_process(self.process, self.conn)
-
-
-class PoolBackend(ExecutorBackend):
-    """A pool of local worker processes, one cell per worker at a time.
-
-    Timeouts are true per-cell wall clocks, measured from dispatch and
-    enforced while the cell runs: an over-budget cell's worker is
-    terminated and immediately replaced by a fresh one (counted in
-    ``replacements``), so a single diverging cell costs one slot for
-    ``cell_timeout`` seconds — not for the rest of the campaign.  A
-    worker that dies mid-cell is likewise captured as that cell's
-    failure and replaced.
-    """
-
-    name = "pool"
-    enforces_timeout = True
-
-    def __init__(self, jobs=2):
-        if jobs < 1:
-            raise CampaignError(f"pool jobs must be >= 1, got {jobs}")
-        self.jobs = jobs
-        self.replacements = 0
-
-    def execute(self, campaign, specs, keys, pending, results):
-        reporter = SpecOrderReporter(campaign, results)
-        reporter.flush()
-        context = multiprocessing.get_context()
-        queue = collections.deque(pending)
-        workers = [_PoolWorker(context)
-                   for _ in range(min(self.jobs, len(queue)))]
-        outstanding = len(queue)
-
-        def finish(index, envelope):
-            nonlocal outstanding
-            results[index] = campaign.absorb(specs[index], keys[index],
-                                             envelope)
-            outstanding -= 1
-            reporter.flush()
-
-        def replace(worker):
-            workers.remove(worker)
-            worker.kill()
-            if queue:
-                # Remaining cells keep running at full width.
-                workers.append(_PoolWorker(context))
-                self.replacements += 1
-
-        try:
-            while outstanding:
-                self._assign(workers, queue, specs, campaign.cell_timeout,
-                             context)
-                busy = [w for w in workers if w.busy]
-                ready = multiprocessing.connection.wait(
-                    [w.conn for w in busy],
-                    timeout=self._wait_timeout(busy))
-                for conn in ready:
-                    worker = next(w for w in busy if w.conn is conn)
-                    index = worker.task_index
-                    try:
-                        _, envelope = worker.conn.recv()
-                    except (EOFError, OSError):
-                        envelope = failure_envelope(
-                            time.monotonic() - worker.started, "WorkerDied",
-                            f"pool worker (pid {worker.process.pid}) exited "
-                            "while computing this cell")
-                        replace(worker)
-                    else:
-                        worker.clear()
-                    finish(index, envelope)
-                now = time.monotonic()
-                for worker in list(workers):
-                    if worker.busy and worker.deadline is not None \
-                            and now >= worker.deadline:
-                        index = worker.task_index
-                        replace(worker)
-                        finish(index, timeout_envelope(
-                            now - worker.started, campaign.cell_timeout))
-        finally:
-            self._shutdown(workers)
-
-    def _assign(self, workers, queue, specs, cell_timeout, context):
-        for slot, worker in enumerate(list(workers)):
-            if worker.busy or not queue:
-                continue
-            index = queue.popleft()
-            try:
-                worker.assign(index, specs[index], cell_timeout)
-            except (BrokenPipeError, OSError):
-                # Died while idle: requeue the cell, stand up a fresh
-                # worker, and let the next loop iteration dispatch it.
-                queue.appendleft(index)
-                worker.kill()
-                workers[slot] = _PoolWorker(context)
-                self.replacements += 1
-
-    @staticmethod
-    def _wait_timeout(busy):
-        deadlines = [w.deadline for w in busy if w.deadline is not None]
-        if not deadlines:
-            return 0.5
-        return min(0.5, max(0.0, min(deadlines) - time.monotonic()))
-
-    @staticmethod
-    def _shutdown(workers):
-        # Busy workers are killed rather than awaited: a hung cell (or
-        # an aborted campaign) must not block interpreter exit.
-        for worker in workers:
-            if worker.busy:
-                worker.kill()
-                continue
-            try:
-                worker.conn.send(None)
-            except (BrokenPipeError, OSError):
-                pass
-        for worker in workers:
-            if not worker.busy:
-                worker.process.join(timeout=5)
-                if worker.process.is_alive():  # pragma: no cover
-                    worker.kill()
-                try:
-                    worker.conn.close()
-                except OSError:  # pragma: no cover
-                    pass
-
-
-# ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
+def _make_pool(jobs):
+    from repro.campaign.scheduler import PoolBackend
+
+    return PoolBackend(max(1, jobs))
+
+
 def _make_distributed(jobs):
     from repro.campaign.scheduler import DistributedBackend
 
@@ -390,7 +210,7 @@ def _make_inline(jobs):
 
 _BACKENDS = {
     "inline": _make_inline,
-    "pool": lambda jobs: PoolBackend(max(1, jobs)),
+    "pool": _make_pool,
     "distributed": _make_distributed,
 }
 
@@ -417,7 +237,7 @@ def resolve_backend(backend, jobs=1):
     if isinstance(backend, ExecutorBackend):
         return backend
     if backend is None:
-        return InlineBackend() if jobs == 1 else PoolBackend(jobs)
+        return InlineBackend() if jobs == 1 else _make_pool(jobs)
     if isinstance(backend, str):
         factory = _BACKENDS.get(backend)
         if factory is None:

@@ -9,10 +9,11 @@ captured in its result instead of raised, so one diverging SAT cell
 cannot sink a 300-cell sweep.
 
 *How* the pending cells run is an
-:class:`~repro.campaign.backends.ExecutorBackend` — inline, a local
-process pool, or a distributed scheduler fanning cells out to remote
-workers; the caching, failure-capture, and spec-order progress
-semantics are identical across all of them.
+:class:`~repro.campaign.backends.ExecutorBackend` — inline, or the
+scheduler fanning cells out to worker agents (one forked on loopback
+for a local pool, remote ones for a distributed fleet); the caching,
+failure-capture, and spec-order progress semantics are identical
+across all of them.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 
 from repro.campaign.backends import (
     SpecOrderReporter,
-    _execute_cell,
     resolve_backend,
     resolve_cell_fn,
 )
@@ -30,7 +30,7 @@ from repro.campaign.model import CODE_VERSION
 from repro.campaign.store import ResultStore
 from repro.errors import CampaignError, CampaignWarning
 
-__all__ = ["Campaign", "CellResult", "resolve_cell_fn", "_execute_cell"]
+__all__ = ["Campaign", "CellResult", "resolve_cell_fn"]
 
 
 @dataclass
@@ -59,16 +59,17 @@ class CellResult:
 class Campaign:
     """Execution policy for a batch of cells.
 
-    ``jobs`` — worker processes (1 = inline, no pool);
+    ``jobs`` — cells at once (1 = inline, no pool);
     ``backend`` — an execution policy name (``inline``/``pool``/
     ``distributed``) or :class:`ExecutorBackend` instance; defaults to
     inline for ``jobs=1``, a ``jobs``-wide local pool otherwise;
     ``cache_dir``/``store`` — result cache (None = always recompute);
     ``cell_timeout`` — wall-clock bound on one running cell, enforced by
-    the pool (terminate-and-replace the worker) and distributed
-    (scheduler-side cancel) backends.  The inline backend cannot
-    interrupt a cell in its own process, so there the timeout is
-    ineffective and construction emits a :class:`CampaignWarning`.  For
+    the pool and distributed backends alike (the scheduler cancels the
+    cell and its worker agent kills the cell's subprocess).  The inline
+    backend cannot interrupt a cell in its own process, so there the
+    timeout is ineffective and construction emits a
+    :class:`CampaignWarning`.  For
     precise budgets use the attack-level knobs (e.g. Table I's
     ``time_budget_per_cell``), which cells enforce cooperatively;
     ``progress`` — callback ``(index, total, CellResult)``.

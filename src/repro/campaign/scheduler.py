@@ -34,12 +34,16 @@ advertised cores are the cells it runs at once, and each cell goes to
 the registered worker with the most free slots.
 
 Failure model: per-cell timeouts are enforced scheduler-side (the cell
-is cancelled on its worker and recorded as a timeout, exactly like the
-pool backend); a worker that disconnects or stops heartbeating has its
-in-flight cells **requeued** onto the remaining fleet, so killing a
-worker mid-campaign loses no cells.  Results are absorbed scheduler-side
-through the campaign's shared :class:`~repro.campaign.store.ResultStore`,
-so a cache dir on shared storage keeps working unchanged.
+is cancelled on its worker and recorded as a timeout); a worker that
+disconnects or stops heartbeating has its in-flight cells **requeued**
+onto the remaining fleet, so killing a worker mid-campaign loses no
+cells.  Results are absorbed scheduler-side through the campaign's
+shared :class:`~repro.campaign.store.ResultStore`, so a cache dir on
+shared storage keeps working unchanged.
+
+Local runs take the same path: :class:`PoolBackend` (``--jobs N``) is
+this scheduler over one forked worker agent on loopback, so a pool cell
+is placed, timed out, cancelled and crash-captured like a remote one.
 
 The scheduler runs in two modes.  :meth:`Scheduler.run` is the batch
 mode the :class:`DistributedBackend` uses: execute a fixed task list to
@@ -58,6 +62,10 @@ multi-tenant fair-share policy
 from __future__ import annotations
 
 import collections
+import io
+import multiprocessing
+import os
+import secrets
 import selectors
 import socket
 import threading
@@ -70,6 +78,7 @@ from repro.campaign.backends import (
     SpecOrderReporter,
     cancelled_envelope,
     failure_envelope,
+    kill_process,
     shard_hit_envelope,
     timeout_envelope,
 )
@@ -77,6 +86,7 @@ from repro.campaign.wire import (
     MessageBuffer,
     WireAuth,
     WireSession,
+    disable_nagle,
     format_address,
     parse_hostport,
     resolve_secret,
@@ -265,11 +275,15 @@ class Scheduler:
     # ------------------------------------------------------------------
     # Entry points
     # ------------------------------------------------------------------
-    def run(self, tasks, deliver):
+    def run(self, tasks, deliver, fleet_lost=None):
         """Execute every task; calls ``deliver(index, envelope)`` once
-        per task (in completion order — the caller re-orders)."""
+        per task (in completion order — the caller re-orders).
+
+        ``fleet_lost()``, asked once per tick, returns why no worker
+        will ever come (then every task left fails with ``WorkerLost``)
+        or None; without it, ``run`` waits for workers indefinitely.
+        """
         self._deliver = deliver
-        self._dispatching = False
         self._setup()
         for task in tasks:
             self._admit(task)
@@ -279,7 +293,12 @@ class Scheduler:
             f"{self.min_workers} worker(s)")
         try:
             while self._outstanding:
+                # Asked before the tick: whatever a dead fleet shipped
+                # is already buffered, so the tick still reads it.
+                lost = fleet_lost() if fleet_lost is not None else None
                 self._tick()
+                if lost is not None:
+                    self._abandon(lost)
         finally:
             self._close_all()
 
@@ -288,7 +307,6 @@ class Scheduler:
         set, accepting work incrementally through :meth:`submit`."""
         if stop is not None:
             self._stop_event = stop
-        self._dispatching = False
         self._setup()
         self._event(
             f"scheduler serving on "
@@ -331,6 +349,7 @@ class Scheduler:
     # The event loop
     # ------------------------------------------------------------------
     def _setup(self):
+        self._dispatching = False
         self._sel = selectors.DefaultSelector()
         self._listen.setblocking(False)
         self._sel.register(self._listen, selectors.EVENT_READ, "listen")
@@ -373,28 +392,44 @@ class Scheduler:
         self._outstanding += 1
         self._queue.put(task)
 
+    def _abandon(self, reason):
+        """Fail every queued and in-flight task: no worker will come."""
+        for worker in list(self._workers.values()):
+            self._drop(worker, reason)  # requeues its in-flight cells
+        while (task := self._queue.pop_next()) is not None:
+            self._finish(task, failure_envelope(0.0, "WorkerLost", reason))
+
     def _cancel_group_now(self, group):
         cancelled = 0
         for task in self._queue.remove_group(group):
             cancelled += 1
             self._finish(task, cancelled_envelope(0.0))
         now = time.monotonic()
+        cancelled += self._cancel_in_flight(
+            lambda item: item.task.group == group,
+            lambda item: cancelled_envelope(now - item.started))
+        if cancelled:
+            self._event(f"group {group}: {cancelled} cells cancelled")
+
+    def _cancel_in_flight(self, doomed, envelope):
+        """Cancel every in-flight cell ``doomed(item)`` picks, on its
+        worker, and deliver ``envelope(item)`` for it; returns how many."""
+        cancelled = 0
         for worker in list(self._workers.values()):
             for cell_id, item in list(worker.assigned.items()):
-                if item.task.group != group:
-                    continue
-                if worker.assigned.pop(cell_id, None) is None:
-                    continue  # worker dropped mid-sweep
+                if not doomed(item) \
+                        or worker.assigned.pop(cell_id, None) is None:
+                    continue  # spared, or its worker dropped mid-sweep
                 worker.free += 1
                 self._queue.finished(item.task)
                 alive = self._send(worker, {"type": "cancel", "id": cell_id})
+                # Delivered even if the send just dropped the worker: the
+                # drop requeued only the cells still assigned.
                 cancelled += 1
-                self._finish(item.task,
-                             cancelled_envelope(now - item.started))
+                self._finish(item.task, envelope(item))
                 if not alive:
                     break
-        if cancelled:
-            self._event(f"group {group}: {cancelled} cells cancelled")
+        return cancelled
 
     def _publish_stats(self):
         now = time.monotonic()
@@ -433,6 +468,7 @@ class Scheduler:
         except OSError:  # pragma: no cover - accept raced a reset
             return
         sock.setblocking(True)
+        disable_nagle(sock)
         worker = _WorkerState(sock, address, self._auth)
         self._workers[sock] = worker
         self._sel.register(sock, selectors.EVENT_READ, "worker")
@@ -585,22 +621,10 @@ class Scheduler:
         if self.cell_timeout is None:
             return
         now = time.monotonic()
-        for worker in list(self._workers.values()):
-            for cell_id, item in list(worker.assigned.items()):
-                if now < item.deadline:
-                    continue
-                if worker.assigned.pop(cell_id, None) is None:
-                    continue  # worker dropped mid-sweep; already requeued
-                worker.free += 1
-                self._queue.finished(item.task)
-                alive = self._send(worker, {"type": "cancel", "id": cell_id})
-                # The popped cell still timed out — deliver its envelope
-                # even when the cancel send just dropped the worker (the
-                # drop requeued only the cells still assigned).
-                self._finish(item.task, timeout_envelope(
-                    now - item.started, self.cell_timeout))
-                if not alive:
-                    break
+        self._cancel_in_flight(
+            lambda item: now >= item.deadline,
+            lambda item: timeout_envelope(now - item.started,
+                                          self.cell_timeout))
 
     # ------------------------------------------------------------------
     # Placement
@@ -726,7 +750,8 @@ class DistributedBackend(ExecutorBackend):
             self._listen = listen_socket(self._bind)
         return self._listen
 
-    def execute(self, campaign, specs, keys, pending, results):
+    def execute(self, campaign, specs, keys, pending, results,
+                fleet_lost=None):
         reporter = SpecOrderReporter(campaign, results)
         reporter.flush()
         tasks = [
@@ -747,20 +772,74 @@ class DistributedBackend(ExecutorBackend):
             reporter.flush()
 
         try:
-            scheduler.run(tasks, deliver)
+            scheduler.run(tasks, deliver, fleet_lost=fleet_lost)
         finally:
             self.last_run_stats = {
                 "cells": len(tasks),
                 "kwargs_frames": scheduler.kwargs_frames,
                 "shard_hits": scheduler.shard_hits,
             }
-        reporter.flush()
 
     def close(self):
         """Stop listening (idempotent)."""
         if self._listen is not None:
-            try:
-                self._listen.close()
-            except OSError:  # pragma: no cover
-                pass
+            self._listen.close()
             self._listen = None
+
+
+def _pool_agent(connect, cores, secret):
+    """The pool's worker agent: a quiet :func:`run_worker` whose exit
+    code is its return code."""
+    from repro.campaign.worker import SHARD_ENV, run_worker  # agents only
+
+    # Pool cells are computed, never answered from the worker shard that
+    # ``$REPRO_WORKER_SHARD`` names for a fleet agent.
+    os.environ.pop(SHARD_ENV, None)
+    try:
+        code = run_worker(connect, cores=cores, secret=secret,
+                          out=io.StringIO())
+    except KeyboardInterrupt:
+        code = 1  # Ctrl-C is for the campaign process to report
+    raise SystemExit(code)
+
+
+class PoolBackend(DistributedBackend):
+    """``jobs`` cells at a time on this host: each ``execute`` binds
+    ``127.0.0.1:0``, forks one worker agent advertising
+    ``min(jobs, pending)`` cores, runs the batch, joins the agent and
+    closes the port (an all-hits campaign opens no socket).  A loopback
+    port is not private, so every frame is MACed with the backend's own
+    random secret (never ``$REPRO_SECRET``), handed to the agent as a
+    process argument.  If the agent exits, the cells it left fail with
+    ``WorkerLost``.
+    """
+
+    name = "pool"
+
+    def __init__(self, jobs=2):
+        if jobs < 1:
+            raise CampaignError(f"pool jobs must be >= 1, got {jobs}")
+        self.jobs = jobs
+        self._secret = secrets.token_hex(32)
+        super().__init__(bind="127.0.0.1:0", secret=self._secret)
+
+    def execute(self, campaign, specs, keys, pending, results):
+        agent = multiprocessing.Process(
+            target=_pool_agent, args=(format_address(self.address),
+                                      min(self.jobs, len(pending)),
+                                      self._secret))
+        agent.start()
+
+        def agent_lost():  # None while the agent lives
+            if not agent.is_alive():
+                return (f"the pool's worker agent (pid {agent.pid}) "
+                        f"exited with code {agent.exitcode}")
+
+        try:
+            super().execute(campaign, specs, keys, pending, results,
+                            fleet_lost=agent_lost)
+        finally:
+            agent.join(timeout=5)
+            if agent.is_alive():
+                kill_process(agent)
+            self.close()

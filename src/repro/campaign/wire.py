@@ -235,9 +235,9 @@ def send_message(sock, message, timeout=30.0, session=None):
     """Send one framed message completely, whatever the socket's
     configured recv timeout.
 
-    The poll loops on both sides run their sockets with a short recv
-    timeout; a partial ``sendall`` under that timeout would corrupt the
-    framing, so sends temporarily switch to a generous blocking window.
+    A socket's configured timeout is meant for its reads; a partial
+    ``sendall`` under a short one would corrupt the framing, so sends
+    temporarily switch to a generous blocking window.
     """
     previous = sock.gettimeout()
     try:
@@ -297,14 +297,22 @@ class MessageBuffer:
             messages.append(message)
 
 
+def disable_nagle(sock):
+    """Send small frames at once, not after the peer's delayed ACK."""
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+
 def connect_with_retry(host, port, retry_for=10.0, poll=0.2):
     """A connected socket to ``host:port``, retrying for ``retry_for``
     seconds (workers typically start before — or race — the scheduler)."""
     deadline = time.monotonic() + max(0.0, retry_for)
     while True:
         try:
-            return socket.create_connection((host, port), timeout=5.0)
+            sock = socket.create_connection((host, port), timeout=5.0)
         except OSError:
             if time.monotonic() >= deadline:
                 raise
             time.sleep(poll)
+        else:
+            disable_nagle(sock)
+            return sock

@@ -5,10 +5,13 @@
 capacity, and then executes every cell it is handed — each in its own
 subprocess through the shared failure-capture semantics of
 :func:`repro.campaign.backends._execute_cell` — streaming the result
-envelopes back and heartbeating in between.  ``cancel`` kills the named
-cell's subprocess (the scheduler already recorded the timeout); a
-``shutdown`` — or the scheduler's socket closing — ends the agent
-(after draining any finished-but-unshipped results).
+envelopes back (woken by the socket, a cell's pipe or a cell's exit,
+so a finished cell ships at once) and heartbeating in between.
+``cancel`` kills the named cell's subprocess (the scheduler already
+recorded the timeout).  A ``shutdown`` (after draining any
+finished-but-unshipped results), the scheduler's socket closing, or
+SIGTERM on a main thread ends the agent and kills its running cells.
+The pool backend (``--jobs N``) forks one such agent on loopback.
 
 Placement is a two-step probe: a ``cell`` frame carries only the cache
 key.  A worker given ``--shard-dir`` (or ``$REPRO_WORKER_SHARD``) opens
@@ -33,9 +36,12 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import signal
 import socket
 import sys
+import threading
 import time
+from multiprocessing.connection import wait
 
 from repro.campaign.backends import (
     _execute_cell,
@@ -56,9 +62,6 @@ from repro.campaign.wire import (
 )
 from repro.errors import CampaignError
 
-#: recv timeout that paces the poll loop (socket + child pipes).
-_POLL_SECONDS = 0.1
-
 #: How long to wait for the scheduler's auth hello before giving up.
 _HANDSHAKE_SECONDS = 10.0
 
@@ -69,6 +72,8 @@ SHARD_ENV = "REPRO_WORKER_SHARD"
 
 def _cell_main(conn, fn_path, kwargs):
     """Cell subprocess: execute, ship the envelope."""
+    # A cancelled cell dies at once, not through the agent's handler.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     try:
         envelope = _execute_cell(fn_path, kwargs)
     except (KeyboardInterrupt, SystemExit):  # pragma: no cover
@@ -81,27 +86,16 @@ def _cell_main(conn, fn_path, kwargs):
         conn.close()
 
 
-class _PendingCell:
-    """A key-only probe waiting for its ``job`` frame."""
-
-    def __init__(self, cell_id, key, label):
-        self.cell_id = cell_id
-        self.key = key
-        self.label = label
-
-
 class _RunningCell:
     """One in-flight cell: its subprocess plus the result pipe."""
 
-    def __init__(self, context, cell_id, fn_path, kwargs, key=None,
-                 label=""):
-        self.cell_id = cell_id
+    def __init__(self, fn_path, kwargs, key=None, label=""):
         self.fn_path = fn_path
         self.kwargs = kwargs
         self.key = key
         self.label = label
         self.conn, child = multiprocessing.Pipe(duplex=False)
-        self.process = context.Process(
+        self.process = multiprocessing.Process(
             target=_cell_main, args=(child, fn_path, kwargs))
         self.process.start()
         child.close()
@@ -118,14 +112,14 @@ def _handshake(sock, buffer, session):
     deadline = time.monotonic() + _HANDSHAKE_SECONDS
     backlog = []
     while not session.ready:
-        if time.monotonic() >= deadline:
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
             raise CampaignError(
                 "scheduler never completed the auth handshake (is it "
                 "running with the same --secret?)")
-        try:
-            data = sock.recv(65536)
-        except socket.timeout:
+        if not wait([sock], remaining):
             continue
+        data = sock.recv(65536)
         if not data:
             raise CampaignError(
                 "scheduler closed the connection during the auth "
@@ -143,7 +137,6 @@ def run_worker(connect, cores=None, name=None, retry_for=10.0, out=None,
     host, port = parse_hostport(connect, what="scheduler address")
     cores = cores if cores else host_cores()
     name = name or f"{socket.gethostname()}:{os.getpid()}"
-    context = multiprocessing.get_context()
 
     secret = resolve_secret(secret)
     session = WireSession(WireAuth(secret) if secret else None)
@@ -152,7 +145,6 @@ def run_worker(connect, cores=None, name=None, retry_for=10.0, out=None,
     shard = ResultStore(shard_dir) if shard_dir else None
 
     sock = connect_with_retry(host, port, retry_for=retry_for)
-    sock.settimeout(_POLL_SECONDS)
     backlog = []
     try:
         if session.enabled:
@@ -160,10 +152,7 @@ def run_worker(connect, cores=None, name=None, retry_for=10.0, out=None,
         send_message(sock, {"type": "register", "cores": cores,
                             "name": name}, session=session)
     except (CampaignError, OSError) as error:
-        try:
-            sock.close()
-        except OSError:  # pragma: no cover
-            pass
+        sock.close()
         out.write(f"worker {name}: {error}\n")
         return 1
     out.write(f"worker {name}: registered {cores} cores "
@@ -184,7 +173,6 @@ def run_worker(connect, cores=None, name=None, retry_for=10.0, out=None,
         if kind == "cell":
             cell_id = message["id"]
             key = message.get("key")
-            probe = _PendingCell(cell_id, key, message.get("label") or "")
             value = shard.get(key) if (shard and key) else None
             if value is not None:
                 nonlocal hits
@@ -193,17 +181,19 @@ def run_worker(connect, cores=None, name=None, retry_for=10.0, out=None,
                                     "key": key, "value": value},
                              session=session)
                 return False
-            pending[cell_id] = probe
+            # A key-only probe waits here for its ``job`` frame.
+            pending[cell_id] = (key, message.get("label") or "")
             send_message(sock, {"type": "need", "id": cell_id},
                          session=session)
         elif kind == "job":
-            probe = pending.pop(message.get("id"), None)
+            cell_id = message.get("id")
+            probe = pending.pop(cell_id, None)
             if probe is None:
                 return False  # cancelled (or never probed) — stale job
-            running[probe.cell_id] = _RunningCell(
-                context, probe.cell_id, message["fn"],
-                message.get("kwargs") or {}, key=probe.key,
-                label=probe.label)
+            key, label = probe
+            running[cell_id] = _RunningCell(
+                message["fn"], message.get("kwargs") or {}, key=key,
+                label=label)
         elif kind == "cancel":
             cell_id = message.get("id")
             if pending.pop(cell_id, None) is None:
@@ -218,27 +208,29 @@ def run_worker(connect, cores=None, name=None, retry_for=10.0, out=None,
             return True
         return False
 
+    previous_sigterm = None
+    if threading.current_thread() is threading.main_thread():
+        previous_sigterm = signal.signal(signal.SIGTERM, _exit_on_sigterm)
     try:
         stop = False
         for message in backlog:
             stop = handle(message) or stop
         while not stop:
-            try:
+            wakers = [sock]
+            for cell in running.values():
+                wakers += (cell.conn, cell.process.sentinel)
+            next_beat = last_beat + heartbeat_interval
+            if sock in wait(wakers, max(0.0, next_beat - time.monotonic())):
                 data = sock.recv(65536)
-            except socket.timeout:
-                data = None
-            except OSError:
-                break
-            if data == b"":
-                break  # scheduler went away
-            if data:
+                if not data:
+                    break  # scheduler went away
                 for message in buffer.feed(data):
                     stop = handle(message) or stop
-            if stop:
-                break
+                if stop:
+                    break
             done += _pump_results(sock, running, session, shard)
             now = time.monotonic()
-            if now - last_beat >= heartbeat_interval:
+            if now >= next_beat:
                 send_message(sock, {"type": "heartbeat"}, session=session)
                 last_beat = now
         if stop:
@@ -257,43 +249,42 @@ def run_worker(connect, cores=None, name=None, retry_for=10.0, out=None,
         for cell in running.values():
             cell.kill()
         running.clear()
-        try:
-            sock.close()
-        except OSError:  # pragma: no cover
-            pass
+        sock.close()
+        if previous_sigterm is not None:
+            signal.signal(signal.SIGTERM, previous_sigterm)
     hit_note = f" ({hits} shard hits)" if hits else ""
     out.write(f"worker {name}: {done} cells executed{hit_note}, "
               f"{'shutdown' if orderly else 'link lost'}\n")
     return 0 if orderly else 1
 
 
+def _exit_on_sigterm(signum, frame):
+    """SIGTERM as ``SystemExit``: ``run_worker``'s ``finally`` then kills
+    the running cells instead of leaving them to run on as orphans."""
+    raise SystemExit(128 + signum)
+
+
 def _pump_results(sock, running, session=None, shard=None):
     """Ship finished (or crashed) cells back; returns how many."""
     shipped = 0
     for cell_id, cell in list(running.items()):
+        if not cell.conn.poll() and cell.process.is_alive():
+            continue
         envelope = None
+        # Polled again: a cell that just exited left its envelope in
+        # the pipe, and a crashed one left only EOF.
         if cell.conn.poll():
             try:
                 envelope = cell.conn.recv()
             except (EOFError, OSError):
-                envelope = None
-        if envelope is None and not cell.process.is_alive():
-            cell.process.join(timeout=1)
-            # One more look: the pipe can buffer past process exit.
-            if cell.conn.poll():
-                try:
-                    envelope = cell.conn.recv()
-                except (EOFError, OSError):
-                    envelope = None
-            if envelope is None:
-                envelope = failure_envelope(
-                    time.monotonic() - cell.started, "WorkerCellDied",
-                    f"cell subprocess exited with code "
-                    f"{cell.process.exitcode} before returning a result")
+                pass
         if envelope is None:
-            continue
+            cell.process.join(timeout=1)
+            envelope = failure_envelope(
+                time.monotonic() - cell.started, "WorkerCellDied",
+                f"cell subprocess exited with code "
+                f"{cell.process.exitcode} before returning a result")
         del running[cell_id]
-        cell.kill()
         if (shard is not None and cell.key
                 and isinstance(envelope, dict) and envelope.get("ok")
                 and envelope.get("value") is not None):
@@ -307,5 +298,6 @@ def _pump_results(sock, running, session=None, shard=None):
                 pass  # a broken shard must never cost the result
         send_message(sock, {"type": "result", "id": cell_id,
                             "envelope": envelope}, session=session)
+        cell.kill()  # reaped after shipping: the scheduler need not wait
         shipped += 1
     return shipped

@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import io
 import json
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -61,6 +63,28 @@ def pid_sleep_cell(tag, seconds):
 
 def unserializable_cell():
     return {"oops": object()}
+
+
+def pid_file_cell(path, seconds):
+    """Record this cell's pid, then sleep (a cell to time out)."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(str(os.getpid()))
+    time.sleep(seconds)
+    return {"slept": seconds}
+
+
+def kill_agent_cell():
+    """SIGKILL the worker agent this cell was forked from."""
+    os.kill(os.getppid(), signal.SIGKILL)
+    return {"killed": True}
+
+
+def _pid_exists(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
 
 
 def _spec(a=1, b=2):
@@ -277,8 +301,8 @@ class TestCampaignExecutor:
 
     def test_timed_out_worker_is_replaced_at_full_width(self):
         """A hung cell costs its slot for cell_timeout seconds, not for
-        the rest of the campaign: the worker is terminated and replaced,
-        and the remaining cells run on a full-width pool."""
+        the rest of the campaign: the cell is cancelled and the
+        remaining cells run on the full-width pool."""
         backend = PoolBackend(2)
         specs = [
             CellSpec.make("tests.test_campaign:slow_cell", {"seconds": 30},
@@ -292,13 +316,8 @@ class TestCampaignExecutor:
         elapsed = time.perf_counter() - start
         assert results[0].status == "timeout"
         assert all(r.ok for r in results[1:])
-        assert backend.replacements == 1
-        # Replacement was immediate — nowhere near the hung cell's 30s.
+        # The slot came back at once — nowhere near the hung cell's 30s.
         assert elapsed < 15
-        # The replacement is a genuinely fresh worker process: the
-        # queued cells ran on at least two distinct worker pids.
-        pids = {r.value["pid"] for r in results[1:]}
-        assert len(pids) >= 2
 
     def test_worker_death_is_captured_and_replaced(self):
         backend = PoolBackend(2)
@@ -309,8 +328,63 @@ class TestCampaignExecutor:
         ]
         results = Campaign(backend=backend).run(specs)
         assert not results[0].ok
-        assert results[0].error["type"] == "WorkerDied"
+        assert results[0].error["type"] == "WorkerCellDied"
+        assert "code 5" in results[0].error["message"]
         assert all(r.ok for r in results[1:])
+
+    def test_lost_agent_ends_the_run_with_worker_lost(self):
+        """A cell that kills its own worker agent strands the cells the
+        agent held; the run fails them instead of waiting for a worker
+        that will never come."""
+        specs = [
+            CellSpec.make("tests.test_campaign:kill_agent_cell", {},
+                          label="killer"),
+            CellSpec.make("tests.test_campaign:slow_cell", {"seconds": 1},
+                          label="stranded"),
+            *[_spec(a=a) for a in range(3)],
+        ]
+        start = time.perf_counter()
+        results = Campaign(backend=PoolBackend(2)).run(specs)
+        assert time.perf_counter() - start < 30
+        assert [r.error["type"] for r in results] \
+            == ["WorkerLost"] * len(specs)
+        assert all("exited with code -9" in r.error["message"]
+                   for r in results)
+
+    def test_pool_ignores_the_fleet_environment(self, monkeypatch,
+                                                tmp_path):
+        """The pool MACs every frame with its own secret, whatever the
+        fleet secret in the environment, listens on loopback only, and
+        computes its cells rather than asking a fleet worker's shard."""
+        monkeypatch.setenv("REPRO_SECRET", "a-fleet-secret-not-for-the-pool")
+        shard = str(tmp_path / "shard")
+        specs = [_spec(a=a) for a in range(3)]
+        ResultStore(shard).put(specs[0].key(), specs[0], {"sum": -1})
+        monkeypatch.setenv("REPRO_WORKER_SHARD", shard)
+        events = []
+        backend = PoolBackend(2)
+        backend.on_event = events.append
+        results = Campaign(backend=backend).run(specs)
+        assert [r.value["sum"] for r in results] == [2, 3, 4]
+        assert backend.auth is not None
+        assert any(event.startswith("scheduler on 127.0.0.1:")
+                   for event in events)
+
+    def test_no_process_outlives_a_run_that_timed_out_a_cell(
+            self, tmp_path):
+        before = set(multiprocessing.active_children())
+        pid_file = tmp_path / "cell.pid"
+        specs = [
+            CellSpec.make("tests.test_campaign:pid_file_cell",
+                          {"path": str(pid_file), "seconds": 30},
+                          label="hung"),
+            _spec(),
+        ]
+        results = Campaign(backend=PoolBackend(2),
+                           cell_timeout=2.0).run(specs)
+        assert results[0].status == "timeout" and results[1].ok
+        assert set(multiprocessing.active_children()) <= before
+        assert not _pid_exists(int(pid_file.read_text()))
 
     def test_progress_is_reported_in_spec_order(self):
         events = []

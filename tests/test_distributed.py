@@ -1,6 +1,7 @@
 """Distributed campaign execution: backend equivalence, the socket
 scheduler/worker protocol, placement within each worker's advertised
-cores, dead-worker requeue, and scheduler-side timeouts."""
+cores, dead-worker requeue, scheduler-side timeouts, and the worker
+agent's exits (shutdown drain, SIGTERM)."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import json
 import multiprocessing
 import os
 import selectors
+import signal
 import socket
 import time
 
@@ -30,15 +32,18 @@ from repro.campaign.scheduler import (
     _Assignment,
     _Task,
     _WorkerState,
+    listen_socket,
 )
 from repro.campaign.wire import (
     MessageBuffer,
+    connect_with_retry,
     format_address,
     parse_hostport,
     send_message,
 )
 from repro.campaign.worker import run_worker
 from repro.errors import CampaignError
+from tests.test_campaign import _pid_exists
 
 pytestmark = pytest.mark.smoke
 
@@ -444,6 +449,30 @@ class TestWire:
         with pytest.raises(CampaignError):
             MessageBuffer().feed(b'["no","type"]\n')
 
+    def test_both_ends_of_a_registered_connection_disable_nagle(self):
+        """Small frames go out at once on both ends: a cell's
+        cell/need/job exchange must not stall on delayed ACKs."""
+        listen = listen_socket(("127.0.0.1", 0))
+        scheduler = Scheduler(listen)
+        scheduler._setup()
+        client = connect_with_retry(*listen.getsockname()[:2])
+        try:
+            send_message(client, {"type": "register", "cores": 1,
+                                  "name": "nagle"})
+            deadline = time.monotonic() + 10
+            while not any(worker.registered
+                          for worker in scheduler._workers.values()):
+                assert time.monotonic() < deadline, "never registered"
+                scheduler._tick()
+            (accepted,) = scheduler._workers
+            for sock in (client, accepted):
+                assert sock.getsockopt(socket.IPPROTO_TCP,
+                                       socket.TCP_NODELAY)
+        finally:
+            client.close()
+            scheduler._close_all()
+            listen.close()
+
     def test_send_message_preserves_dict_order(self):
         """Cell values keep insertion order on the wire — sorting keys
         would break cross-backend byte-identity of rendered tables."""
@@ -566,11 +595,14 @@ class TestWorkerShutdownDrain:
 
         import repro.campaign.worker as worker_mod
 
-        # Freeze the poll loop: with a 30s recv timeout the worker only
-        # acts when the fake scheduler sends something, so the finished
-        # cell's envelope is provably sitting unshipped in the pipe
-        # when the shutdown frame arrives.
-        monkeypatch.setattr(worker_mod, "_POLL_SECONDS", 30.0)
+        # Wake the worker on its socket only (never on a cell's pipe):
+        # it then acts only when the fake scheduler sends something, so
+        # the finished cell's envelope is provably sitting unshipped in
+        # the pipe when the shutdown frame arrives.
+        wait = worker_mod.wait
+        monkeypatch.setattr(worker_mod, "wait",
+                            lambda objects, timeout=None:
+                            wait(objects[:1], timeout))
         listen = socket.socket()
         listen.bind(("127.0.0.1", 0))
         listen.listen(1)
@@ -584,17 +616,7 @@ class TestWorkerShutdownDrain:
         thread.start()
         conn, _ = listen.accept()
         conn.settimeout(30)
-        buffer = MessageBuffer()
-
-        def read_until(kind):
-            while True:
-                data = conn.recv(65536)
-                assert data, (f"worker closed the link before sending "
-                              f"a {kind!r} frame")
-                for message in buffer.feed(data):
-                    if message["type"] == kind:
-                        return message
-
+        read_until = _frame_reader(conn)
         try:
             read_until("register")
             send_message(conn, {"type": "welcome", "heartbeat": 60.0})
@@ -618,3 +640,66 @@ class TestWorkerShutdownDrain:
             listen.close()
             thread.join(timeout=30)
         assert rc.get("code") == 0  # orderly shutdown, result shipped
+
+
+def _frame_reader(conn):
+    """``read_until(kind)``: the next frame of that type on ``conn``."""
+    buffer = MessageBuffer()
+
+    def read_until(kind):
+        while True:
+            data = conn.recv(65536)
+            assert data, (f"worker closed the link before sending "
+                          f"a {kind!r} frame")
+            for message in buffer.feed(data):
+                if message["type"] == kind:
+                    return message
+
+    return read_until
+
+
+class TestWorkerSigterm:
+    def test_sigterm_kills_the_running_cell(self, tmp_path):
+        """A SIGTERMed agent takes its orderly exit and kills the cell
+        it runs, instead of leaving it to run on as an orphan."""
+        listen = socket.socket()
+        listen.bind(("127.0.0.1", 0))
+        listen.listen(1)
+        host, port = listen.getsockname()
+        pid_file = tmp_path / "cell.pid"
+        agent = multiprocessing.Process(
+            target=run_worker, args=(f"{host}:{port}",),
+            kwargs={"cores": 1, "name": "term"})
+        agent.start()
+        conn, _ = listen.accept()
+        conn.settimeout(30)
+        read_until = _frame_reader(conn)
+        try:
+            read_until("register")
+            send_message(conn, {"type": "welcome", "heartbeat": 60.0})
+            send_message(conn, {"type": "cell", "id": 0, "key": "k0",
+                                "label": "slow"})
+            read_until("need")
+            send_message(conn, {"type": "job", "id": 0,
+                                "fn": "tests.test_campaign:pid_file_cell",
+                                "kwargs": {"path": str(pid_file),
+                                           "seconds": 30}})
+            deadline = time.monotonic() + 30
+            while not pid_file.exists() or not pid_file.read_text():
+                assert time.monotonic() < deadline, "cell never ran"
+                time.sleep(0.05)
+            pid = int(pid_file.read_text())
+            agent.terminate()
+            agent.join(timeout=10)
+            assert agent.exitcode == 128 + signal.SIGTERM
+            deadline = time.monotonic() + 5
+            while _pid_exists(pid):
+                assert time.monotonic() < deadline, (
+                    f"cell {pid} outlived its SIGTERMed agent")
+                time.sleep(0.05)
+        finally:
+            if agent.is_alive():
+                agent.kill()
+                agent.join()
+            conn.close()
+            listen.close()
