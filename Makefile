@@ -87,7 +87,11 @@ bench-solver:
 
 # End-to-end attack-loop bench: phase rows of an oracle-dominated
 # seq-sat cell (exact oracle call/pattern counts) and a pin-heavy DIP
-# loop. Writes benchmarks/artifacts/BENCH_attack.json.
+# loop, plus the b12 Table I cells block by block: b12_ks2_pin_blocks
+# (all 1024 DIPs in 256-DIP blocks) and b12_ks3_pin_blocks (the first
+# 2048 DIPs in 1024-DIP blocks), each asserting its last block
+# propagates at most 1.25x its first. Writes
+# benchmarks/artifacts/BENCH_attack.json.
 bench-attack:
 	$(PY) -m pytest benchmarks/bench_attack.py -q
 

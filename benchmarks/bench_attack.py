@@ -1,5 +1,5 @@
-"""End-to-end attack-loop benchmarks: an oracle-dominated seq-sat cell
-and a pin-heavy DIP loop.
+"""End-to-end attack-loop benchmarks: an oracle-dominated seq-sat cell,
+a pin-heavy DIP loop, and the per-block cost of the b12 Table I cells.
 
 The oracle-dominated cell checks its oracle accounting exactly: every
 miter round is one batched oracle call, and the black-box key check is
@@ -8,18 +8,27 @@ alone.  Both cells record their phase rows; the serial-oracle and
 copy-per-pin paths they were once compared against are recorded rows in
 the README's "Making it fast" section.
 
+The b12 block rows count what each block of pinned DIPs costs the
+solver (propagations, variables, clauses): the last block may propagate
+at most 1.25x what the first did, so a per-DIP cost that grows with the
+DIPs pinned, as it did while every pin gate stayed a solver variable,
+fails them.
+
 Everything lands in ``BENCH_attack.json`` via ``bench_json_merge``; the
 text artifacts carry the same numbers human-readable.
 """
 
 import time
 
+from repro.api.cells import resolve_scheme_spec
+from repro.api.circuits import load_circuit
 from repro.attacks import (
     SimulationOracle,
     comb_sat_attack,
     sequential_sat_attack,
     unrolled_attack_view,
 )
+from repro.attacks.comb_sat import DipEngine
 from repro.attacks.seq_sat import _with_folded_constants
 from repro.bench.synth import generate_circuit
 from repro.core import TriLockConfig, lock, ndip_trilock
@@ -166,5 +175,87 @@ def test_seq_sat_short_check_accounting(bench_json_merge):
         "seq_sat_check_rounds_64": {
             "instance": "oracle-dominated cell, check_rounds=64",
             "wall_seconds": wall,
+        },
+    })
+
+
+# ----------------------------------------------------------------------
+# The b12 Table I cells (S=10), block by block: the DIP loop of the
+# seq-sat attack at the paper's depth (dip_batch=1), driven through the
+# DipEngine so each block's solver counters can be read off.
+# ----------------------------------------------------------------------
+_B12 = "suite:b12?scale=0.08&seed=0"
+_GROWTH_BOUND = 1.25
+
+
+def _dip_blocks(kappa_s, block, max_dips=None):
+    """Pin the b12 kappa_s cell's DIPs; one row per ``block`` DIPs."""
+    scheme, params = resolve_scheme_spec(
+        f"trilock?kappa_s={kappa_s}&kappa_f=1&alpha=0.6&s_pairs=10")
+    locked = scheme.lock(load_circuit(_B12), seed=0, **params)
+    view, key_inputs, _ = unrolled_attack_view(
+        locked.netlist, locked.config.kappa, kappa_s)
+    engine = DipEngine(_with_folded_constants(view), key_inputs)
+    oracle = SimulationOracle(locked.original).flat_window(kappa_s)
+    rows = [{"miter_vars": engine.solver.num_vars}]
+    before = engine.solver.stats()
+    start = time.perf_counter()
+    while max_dips is None or engine.n_pinned < max_dips:
+        batch = engine.find_dip_batch()
+        if not batch:
+            break
+        engine.pin_batch(zip(batch, oracle(batch)))
+        if engine.n_pinned % block == 0:
+            stats = engine.solver.stats()
+            rows.append({
+                "dips": engine.n_pinned,
+                "propagations": stats["propagations"]
+                - before["propagations"],
+                "solver_vars": stats["vars"],
+                "solver_clauses": stats["clauses"],
+                "wall_seconds": time.perf_counter() - start,
+            })
+            before, start = stats, time.perf_counter()
+    return engine.n_pinned, rows
+
+
+def _growth(rows):
+    return rows[-1]["propagations"] / rows[1]["propagations"]
+
+
+def test_b12_ks2_blocks_stay_level(bench_json_merge):
+    """All 1,024 DIPs of the Table I b12 kappa_s=2 cell in 256-DIP
+    blocks: the solver ends within 1,000 variables, and the last block
+    propagates at most 1.25x the first (2.73x while every pin gate
+    stayed a variable)."""
+    n_dips, rows = _dip_blocks(2, block=256)
+    assert n_dips == 1024
+    assert rows[-1]["solver_vars"] <= 1000
+    assert _growth(rows) <= _GROWTH_BOUND
+    bench_json_merge("attack", {
+        "b12_ks2_pin_blocks": {
+            "instance": "table1 b12 ks=2 S=10, dip_batch=1, 256-DIP "
+                        "blocks",
+            "miter_vars": rows[0]["miter_vars"],
+            "blocks": rows[1:],
+            "propagation_growth": _growth(rows),
+        },
+    })
+
+
+def test_b12_ks3_first_blocks_stay_level(bench_json_merge):
+    """The first 2,048 of the b12 kappa_s=3 cell's 32,768 DIPs in
+    1,024-DIP blocks: the second block propagates at most 1.25x the
+    first (2.03x while every pin gate stayed a variable)."""
+    n_dips, rows = _dip_blocks(3, block=1024, max_dips=2048)
+    assert n_dips == 2048
+    assert _growth(rows) <= _GROWTH_BOUND
+    bench_json_merge("attack", {
+        "b12_ks3_pin_blocks": {
+            "instance": "table1 b12 ks=3 S=10, dip_batch=1, first 2048 "
+                        "DIPs in 1024-DIP blocks",
+            "miter_vars": rows[0]["miter_vars"],
+            "blocks": rows[1:],
+            "propagation_growth": _growth(rows),
         },
     })

@@ -25,8 +25,11 @@ The attack engine is built from two orthogonal pieces:
   candidate-key feasible set equivalent to pinning the same DIPs one at
   a time.
 
-``dip_batch=1`` with the default solver is byte-identical to the
-historical loop (same solver, same clauses, same DIP sequence).
+A pin costs the solver only what its DIP adds: the gates it encodes
+that nothing else reads are resolved away (bounded variable
+elimination, :func:`repro.cnf.eliminate`) before the solver sees them,
+so the solver keeps about the miter's variables however many DIPs are
+pinned, and each solve no longer re-implies every earlier pin's gates.
 """
 
 from __future__ import annotations
@@ -35,7 +38,8 @@ import itertools
 import time
 from dataclasses import dataclass, field
 
-from repro.cnf import Cnf, encode_cone, encode_gate
+from repro.cnf import (Cnf, FreshClauses, eliminate, encode_cone, encode_fresh,
+                       encode_gate)
 from repro.errors import AttackError
 from repro.netlist import GateOp, LogicBuilder, Netlist
 from repro.netlist.transform import InputSpecializer
@@ -76,15 +80,18 @@ class DipEngine:
     ``locked``, one per key copy (``key_a``/``key_b`` input nets) over
     shared data-input nets, so data-only logic hashes together and an
     output pair that lands on one net cannot differ. Each pinned I/O pair
-    replays ``locked`` again per key copy with the DIP bits as builder
-    constants: the key-only logic hashes onto the miter's nets and logic
-    built for earlier DIPs onto theirs, so only the gates that have no
-    solver variable yet are encoded. ``solver`` is the backend object to
-    solve with (a fresh ``cdcl`` when omitted).
+    replays the fan-out of the data inputs again per key copy, with the
+    DIP bits as builder constants and the miter's images for every other
+    net: logic built for earlier DIPs hashes onto theirs, so only the
+    gates that have no solver variable are encoded, and of those only
+    the ones elimination cannot remove get one. ``solver`` is the
+    backend object to solve with (a fresh ``cdcl`` when omitted).
 
     ``map_a``/``map_b`` send each net of ``locked`` to its image in key
-    copy *a*/*b* of the miter, and ``var_of`` each encoded problem net
-    to its solver variable (every data and key net has one).
+    copy *a*/*b* of the miter, and ``var_of`` each problem net that has
+    a solver variable to it: every data and key net, every miter net,
+    and the pin nets that survived elimination. An eliminated pin net is
+    not in ``var_of``; a later pin that reaches it encodes it again.
     """
 
     def __init__(self, locked, key_inputs, solver=None):
@@ -116,10 +123,13 @@ class DipEngine:
             if net in self.key_set:
                 self._input(self._keys["b"][net], cnf)
         self._builder = LogicBuilder(self._problem, prefix="dip")
-        self._folder = InputSpecializer(locked)
+        folder = InputSpecializer(locked)
         data = {net: net for net in self.data_inputs}
-        self.map_a = self._fold(data, "a")
-        self.map_b = self._fold(data, "b")
+        self.map_a, self.map_b = ({**data, **self._keys[tag]}
+                                  for tag in ("a", "b"))
+        for mapping in (self.map_a, self.map_b):
+            folder.fold(self._builder, mapping)
+        self._data_cone = folder.fanout_of(self.data_inputs)
 
         # Gated miter: act -> (some output pair differs).
         differing = [(self.map_a[net], self.map_b[net])
@@ -143,14 +153,6 @@ class DipEngine:
     def _input(self, net, cnf):
         self._problem.add_input(net)
         self.var_of[net] = cnf.new_var()
-
-    def _fold(self, assignments, tag):
-        """Replay ``locked`` through the engine's builder under key copy
-        ``tag``; returns the map from its nets to problem nets."""
-        mapping = dict(assignments)
-        mapping.update(self._keys[tag])
-        self._folder.fold(self._builder, mapping)
-        return mapping
 
     # ------------------------------------------------------------------
     def _solve(self, assumptions=()):
@@ -211,7 +213,8 @@ class DipEngine:
 
         Each key copy replays the circuit with the DIP bits as constants,
         so the constraint is only the key-dependent cone, and of that only
-        the gates no earlier pin (or the miter) encoded already.
+        the gates that have no solver variable, reduced by elimination
+        (see :meth:`pin_batch`).
         """
         self.pin_batch([(dip, response)])
 
@@ -219,30 +222,44 @@ class DipEngine:
         """Pin a batch of ``(dip, response)`` I/O pairs.
 
         Clause-for-clause identical to calling :meth:`pin_response` per
-        pair: each pair contributes copy-"a" clauses, copy-"a" response
-        units, copy-"b" clauses, copy-"b" units, in batch order.
+        pair. Each pair replays the data inputs' fan-out once per key
+        copy, encodes the gates that have no solver variable, and
+        eliminates those gates' variables (:func:`repro.cnf.eliminate`,
+        with every variable the solver holds frozen) before the solver
+        sees its clauses: only the variables that survive are
+        allocated, and the eliminated nets leave ``var_of``, so a later
+        pin that hashes onto one encodes it again.
         """
         pairs = [(dip, tuple(response)) for dip, response in pairs]
         n_outputs = len(self.locked.outputs)
         for _dip, response in pairs:
             if len(response) != n_outputs:
                 raise AttackError("oracle response width mismatch")
-        cnf = Cnf(self.solver.num_vars)
-        const = self._builder.const
+        const, var_of = self._builder.const, self.var_of
         for dip, response in pairs:
             self.n_pinned += 1
-            constants = {net: const(bit)
-                         for net, bit in zip(self.data_inputs, dip)}
-            for tag in ("a", "b"):
-                mapping = self._fold(constants, tag)
+            frozen = self.solver.num_vars
+            fresh = FreshClauses(frozen)
+            encoded = []
+            for image in (self.map_a, self.map_b):
+                mapping = dict(image)
+                mapping.update(zip(self.data_inputs, map(const, dip)))
+                self._data_cone.fold(self._builder, mapping)
                 outputs = [mapping[net] for net in self.locked.outputs]
-                encode_cone(self._problem, outputs, cnf, self.var_of)
+                encoded += encode_fresh(self._problem, outputs, var_of, fresh)
                 for net, bit in zip(outputs, response):
-                    var = self.var_of[net]
-                    cnf.add_clause([var if bit else -var])
-        self.solver.ensure_vars(cnf.num_vars)
-        for clause in cnf.clauses:
-            self.solver.add_clause(clause)
+                    var = var_of[net]
+                    fresh.add_clause([var if bit else -var])
+            clauses, survivors = eliminate(fresh.clauses, frozen)
+            for net in encoded:
+                var = survivors.get(var_of[net])
+                if var is None:
+                    del var_of[net]
+                else:
+                    var_of[net] = var
+            self.solver.ensure_vars(frozen + len(survivors))
+            for clause in clauses:
+                self.solver.add_clause(clause)
 
     def solve_key(self):
         """A key consistent with every pinned I/O pair (raises if none)."""

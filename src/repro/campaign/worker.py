@@ -48,6 +48,7 @@ from repro.campaign.backends import (
     failure_envelope,
     host_cores,
     kill_process,
+    resolve_cell_fn,
 )
 from repro.campaign.model import CellSpec
 from repro.campaign.store import ResultStore
@@ -94,6 +95,13 @@ class _RunningCell:
         self.kwargs = kwargs
         self.key = key
         self.label = label
+        # Import the cell's module here, once per agent, so the fork
+        # inherits it. An import that fails is left for the cell's own
+        # process to fail again, as that cell's error envelope.
+        try:
+            resolve_cell_fn(fn_path)
+        except Exception:  # noqa: BLE001 - reported by the cell
+            pass
         self.conn, child = multiprocessing.Pipe(duplex=False)
         self.process = multiprocessing.Process(
             target=_cell_main, args=(child, fn_path, kwargs))

@@ -9,6 +9,7 @@ the unroller is responsible for stitching cycles together beforehand.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from repro.cnf.formula import Cnf
@@ -114,16 +115,10 @@ def encode(netlist, cnf=None, var_of=None):
     return CircuitCnf(cnf, var_of)
 
 
-def encode_cone(netlist, roots, cnf, var_of):
-    """Encode the gates of the fanin cone of ``roots`` that ``var_of``
-    does not hold yet, each after its inputs.
-
-    The incremental counterpart of :func:`encode`: a netlist that only
-    grows can be encoded piece by piece into one ``cnf``/``var_of``
-    pair, and logic already encoded is never encoded twice. Every
-    primary input and flop Q the cone reaches must already be in
-    ``var_of``.
-    """
+def _new_gates(netlist, roots, var_of):
+    """Yield ``(net, gate)`` for each gate of the fanin cone of ``roots``
+    that ``var_of`` does not hold, each after its inputs; the caller
+    puts ``net`` in ``var_of`` before asking for the next."""
     stack = [net for net in reversed(roots) if net not in var_of]
     while stack:
         net = stack[-1]
@@ -136,8 +131,61 @@ def encode_cone(netlist, roots, cnf, var_of):
             stack.extend(reversed(pending))
             continue
         stack.pop()
+        yield net, gate
+
+
+def encode_cone(netlist, roots, cnf, var_of):
+    """Encode the gates of the fanin cone of ``roots`` that ``var_of``
+    does not hold yet, each after its inputs.
+
+    The incremental counterpart of :func:`encode`: a netlist that only
+    grows can be encoded piece by piece into one ``cnf``/``var_of``
+    pair, and logic already encoded is never encoded twice. Every
+    primary input and flop Q the cone reaches must already be in
+    ``var_of``.
+    """
+    for net, gate in _new_gates(netlist, roots, var_of):
         out = var_of[net] = cnf.new_var()
         encode_gate(cnf, gate.op, out, [var_of[src] for src in gate.inputs])
+
+
+def encode_fresh(netlist, roots, var_of, fresh):
+    """:func:`encode_cone` into ``fresh``, a
+    :class:`~repro.cnf.elimination.FreshClauses` headed to
+    :func:`~repro.cnf.elimination.eliminate`; returns the encoded nets
+    in order.
+
+    A NOT gate gets no variable: ``var_of`` maps its net to its input's
+    negated literal until the caller drops it. An XOR or XNOR of up to
+    four inputs becomes its parity table (``2^n`` clauses over its
+    ``n`` inputs and its output) instead of a chain through auxiliary
+    variables, so each fresh variable is a net's: one that survives
+    elimination stays in ``var_of`` for later encodings to share, where
+    a surviving chain variable would be encoded again with its gate.
+    """
+    encoded = []
+    for net, gate in _new_gates(netlist, roots, var_of):
+        encoded.append(net)
+        op = gate.op
+        if op is GateOp.NOT:
+            var_of[net] = -var_of[gate.inputs[0]]
+            continue
+        out = var_of[net] = fresh.new_var()
+        lits = [var_of[src] for src in gate.inputs]
+        if (op is GateOp.XOR or op is GateOp.XNOR) and len(lits) <= 4:
+            lits.append(out if op is GateOp.XOR else -out)
+            fresh.clauses += [[sign * lit for sign, lit in zip(signs, lits)]
+                              for signs in _ODD_SIGNS[len(lits)]]
+        else:
+            encode_gate(fresh, op, out, lits)
+    return encoded
+
+
+#: Per literal count: the sign patterns with an odd number of -1s. Each
+#: pattern's clause rules out one assignment that makes an odd number of
+#: the literals true, so together they say an even number is true.
+_ODD_SIGNS = {n: [signs for signs in itertools.product((1, -1), repeat=n)
+                  if signs.count(-1) % 2] for n in range(2, 6)}
 
 
 def miter_different_outputs(circuit_cnf, outputs_a, outputs_b):

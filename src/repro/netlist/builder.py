@@ -86,9 +86,11 @@ class LogicBuilder:
 
     def _new_gate(self, op, inputs):
         """Net for ``op(inputs)``, which no earlier gate computes
-        structurally (``inputs`` already canonical)."""
+        structurally (``inputs`` already canonical). The name is fresh
+        and the primitives built ``inputs``, so the gate goes in
+        without :meth:`Netlist.add_gate`'s checks."""
         net = self.names.fresh(self.prefix)
-        self.netlist.add_gate(net, op, inputs)
+        self.netlist._insert_gate(net, op, inputs)
         return net
 
     def alias(self, net, name):

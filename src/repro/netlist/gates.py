@@ -91,6 +91,19 @@ class Gate:
         return Gate(self.op, tuple(mapping.get(net, net) for net in self.inputs))
 
 
+def _unchecked_gate(op, inputs):
+    """A :class:`Gate` of ``op`` over the tuple ``inputs``, built without
+    the checks of ``__post_init__``: for callers that already hold net
+    names within ``op``'s arity."""
+    gate = object.__new__(Gate)
+    # Set like the dataclass's own __init__ does: writing through
+    # ``gate.__dict__`` instead would materialise the dict and slow
+    # every later read of ``op`` and ``inputs``.
+    object.__setattr__(gate, "op", op)
+    object.__setattr__(gate, "inputs", inputs)
+    return gate
+
+
 def evaluate_words(op, words, mask):
     """Evaluate ``op`` over bit-parallel integer ``words`` under ``mask``.
 

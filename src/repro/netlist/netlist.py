@@ -32,7 +32,7 @@ from collections import deque
 from itertools import islice, takewhile
 
 from repro.errors import CombinationalCycleError, NetlistError
-from repro.netlist.gates import Flop, Gate, GateOp
+from repro.netlist.gates import Flop, Gate, GateOp, _unchecked_gate
 
 
 class Netlist:
@@ -172,6 +172,15 @@ class Netlist:
         self._topo_cache = self._order_cache = None
         self._validated = False
         return net
+
+    def _insert_gate(self, net, op, inputs):
+        """:meth:`add_gate` without its checks, for
+        :class:`~repro.netlist.builder.LogicBuilder`: ``net`` is a name
+        its factory just made fresh, and ``inputs`` the canonical tuple
+        its primitives built."""
+        self._gates[net] = _unchecked_gate(op, inputs)
+        self._topo_cache = self._order_cache = None
+        self._validated = False
 
     def add_flop(self, q, d, init=False):
         """Drive ``q`` with a flop loading ``d``; returns the Q net name."""

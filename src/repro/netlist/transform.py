@@ -15,6 +15,8 @@ primitives.
 
 from __future__ import annotations
 
+import copy
+
 from repro.errors import NetlistError
 from repro.netlist.builder import LogicBuilder
 from repro.netlist.gates import GateOp
@@ -97,6 +99,24 @@ class InputSpecializer:
         it folded and shared.
         """
         _fold(self._fold_order, builder, mapping)
+
+    def fanout_of(self, nets):
+        """A specializer whose :meth:`fold` replays only the needed gates
+        in the fan-out of ``nets`` (for :meth:`fold` alone).
+
+        Every other gate reads only the other inputs, so it folds to the
+        same net in every replay that maps those alike: a caller
+        replaying the circuit on many images of ``nets`` seeds
+        ``mapping`` with one full fold's images and replays the rest.
+        """
+        reach = set(nets)
+        cone = copy.copy(self)
+        cone._fold_order = []
+        for net, gate in self._fold_order:
+            if not reach.isdisjoint(gate.inputs):
+                reach.add(net)
+                cone._fold_order.append((net, gate))
+        return cone
 
 
 def _fold(order, builder, mapping):

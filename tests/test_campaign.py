@@ -386,6 +386,38 @@ class TestCampaignExecutor:
         assert set(multiprocessing.active_children()) <= before
         assert not _pid_exists(int(pid_file.read_text()))
 
+    def test_agent_imports_a_cell_module_once(self, tmp_path, monkeypatch):
+        """Counted: a module that records each import of itself, run as
+        6 cells by one agent that never imported it, is imported once
+        (by the agent, before its first fork), not once per cell."""
+        marker = tmp_path / "imports.txt"
+        (tmp_path / "import_marker_cells.py").write_text(
+            f"with open({str(marker)!r}, 'a') as handle:\n"
+            "    handle.write('imported\\n')\n\n"
+            "def cell(tag):\n"
+            "    return {'tag': tag}\n")
+        monkeypatch.syspath_prepend(str(tmp_path))
+        specs = [CellSpec.make("import_marker_cells:cell", {"tag": tag})
+                 for tag in range(6)]
+        results = Campaign(backend=PoolBackend(2)).run(specs)
+        assert [r.value["tag"] for r in results] == list(range(6))
+        assert marker.read_text().splitlines() == ["imported"]
+
+    def test_cell_module_that_fails_to_import_fails_alone(self, tmp_path,
+                                                          monkeypatch):
+        (tmp_path / "broken_import_cells.py").write_text(
+            "raise RuntimeError('broken at import')\n")
+        monkeypatch.syspath_prepend(str(tmp_path))
+        specs = [CellSpec.make("broken_import_cells:cell", {},
+                               label="broken"),
+                 _spec(a=5)]
+        # One core, so the agent runs the good cell after the broken one.
+        results = Campaign(backend=PoolBackend(1)).run(specs)
+        assert not results[0].ok
+        assert results[0].error["type"] == "RuntimeError"
+        assert "broken at import" in results[0].error["message"]
+        assert results[1].ok and results[1].value["sum"] == 7
+
     def test_progress_is_reported_in_spec_order(self):
         events = []
         campaign = Campaign(

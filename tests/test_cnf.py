@@ -3,17 +3,22 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cnf import (
     Cnf,
+    FreshClauses,
     dumps_dimacs,
+    eliminate,
     encode,
     encode_cone,
+    encode_fresh,
     loads_dimacs,
     miter_different_outputs,
 )
 from repro.errors import CnfError
-from repro.sat import brute_force_models
+from repro.sat import Solver, brute_force_models
 
 from tests.util import all_assignments, random_comb_netlist, reference_eval
 
@@ -138,6 +143,28 @@ class TestTseitin:
             for net, var in var_of.items():
                 assert model[var] == values[net], net
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_fresh_encoding_projects_onto_truth_table(self, seed):
+        """encode_fresh's clauses (NOT nets as negated literals, wide
+        XORs as parity tables) have one model per input pattern, and it
+        matches the circuit."""
+        netlist = random_comb_netlist(seed, n_inputs=3, n_gates=8)
+        var_of = {net: var for var, net in enumerate(netlist.inputs, 1)}
+        fresh = FreshClauses(len(var_of))
+        encoded = encode_fresh(netlist, netlist.outputs, var_of, fresh)
+        cone, _ = netlist.combinational_fanin(netlist.outputs)
+        assert set(encoded) == cone & set(netlist.gates)
+        assert set(var_of) == set(netlist.inputs) | set(encoded)
+        cnf = Cnf(fresh.num_vars)
+        cnf.add_clauses(fresh.clauses)
+        models = brute_force_models(cnf)
+        assert len(models) == 2 ** len(netlist.inputs)
+        for model in models:
+            values = reference_eval(netlist, {
+                net: model[var_of[net]] for net in netlist.inputs})
+            for net, lit in var_of.items():
+                assert model[abs(lit)] == (values[net] == (lit > 0)), net
+
     def test_shared_encoding_reuses_variables(self):
         netlist = random_comb_netlist(1)
         first = encode(netlist)
@@ -201,3 +228,101 @@ class TestMiter:
         circuit = encode(netlist)
         with pytest.raises(CnfError):
             miter_different_outputs(circuit, list(netlist.outputs), [])
+
+
+def _extending_assignments(clauses, n_frozen, n_vars):
+    """The assignments of variables ``1..n_frozen`` (bit ``v - 1`` for
+    variable ``v``) that extend to a model over ``1..n_vars``."""
+    masks = []
+    for clause in clauses:
+        pos = neg = 0
+        for lit in clause:
+            if lit > 0:
+                pos |= 1 << (lit - 1)
+            else:
+                neg |= 1 << (-lit - 1)
+        masks.append((pos, neg))
+    frozen = (1 << n_frozen) - 1
+    return {bits & frozen for bits in range(1 << n_vars)
+            if all(bits & pos or ~bits & neg for pos, neg in masks)}
+
+
+@st.composite
+def _small_cnfs(draw):
+    """``(clauses, n_frozen, n_fresh)``: up to 8 frozen and 6 fresh
+    variables, up to 30 clauses of 2-4 literals (duplicates and
+    tautologies included) and up to 2 units. Units are few, or they
+    would propagate nearly every instance away before elimination."""
+    n_frozen = draw(st.integers(0, 8))
+    n_fresh = draw(st.integers(1, 6))
+    var = st.integers(1, n_frozen + n_fresh)
+    lit = st.tuples(var, st.booleans()).map(
+        lambda pair: pair[0] if pair[1] else -pair[0])
+    clauses = draw(st.lists(st.lists(lit, min_size=2, max_size=4),
+                            max_size=30))
+    units = draw(st.lists(lit.map(lambda unit: [unit]), max_size=2))
+    return clauses + units, n_frozen, n_fresh
+
+
+class TestElimination:
+    @given(case=_small_cnfs())
+    @settings(max_examples=200, deadline=None)
+    def test_elimination_keeps_every_frozen_extension(self, case):
+        clauses, n_frozen, n_fresh = case
+        result, survivors = eliminate(clauses, n_frozen)
+        n_kept = len(survivors)
+        assert _extending_assignments(result, n_frozen, n_frozen + n_kept) \
+            == _extending_assignments(clauses, n_frozen, n_frozen + n_fresh)
+        # Survivors keep their order and are numbered right after the
+        # frozen variables; no other fresh variable is left.
+        assert sorted(survivors) == list(survivors)
+        assert all(var > n_frozen for var in survivors)
+        assert list(survivors.values()) \
+            == list(range(n_frozen + 1, n_frozen + n_kept + 1))
+        assert all(abs(lit) <= n_frozen + n_kept
+                   for clause in result for lit in clause)
+        assert len(result) <= len(clauses)
+
+    @given(case=_small_cnfs(), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_local_conflict_leaves_the_store_unsatisfiable(self, case,
+                                                           data):
+        """Contradicting units on a fresh variable (an inconsistent
+        response) come back as the empty clause."""
+        clauses, n_frozen, n_fresh = case
+        var = data.draw(st.integers(n_frozen + 1, n_frozen + n_fresh))
+        result, survivors = eliminate(clauses + [[var], [-var]], n_frozen)
+        assert (result, survivors) == ([[]], {})
+        solver = Solver()
+        solver.ensure_vars(n_frozen)
+        for clause in result:
+            solver.add_clause(clause)
+        assert solver.solve() is False
+
+    def test_variable_with_more_resolvents_than_clauses_survives(self):
+        """9 resolvents against 6 clauses: 8 stays, renumbered to 7."""
+        clauses = [[8, 1], [8, 2], [8, 3], [-8, 4], [-8, 5], [-8, 6]]
+        result, survivors = eliminate(clauses, 6)
+        assert survivors == {8: 7}
+        assert sorted(map(sorted, result)) == sorted(
+            sorted(7 if lit == 8 else -7 if lit == -8 else lit
+                   for lit in clause) for clause in clauses)
+
+    def test_subsumed_resolvents_do_not_count(self):
+        """6 resolvents against 5 clauses, but 2 are subsumed by others:
+        4 goes, leaving the 4 that remain."""
+        clauses = [[4, 2, -3], [4, -2], [4, 2], [-4, -1], [-4, 1]]
+        result, survivors = eliminate(clauses, 3)
+        assert survivors == {}
+        assert sorted(map(sorted, result)) \
+            == [[-2, -1], [-2, 1], [-1, 2], [1, 2]]
+
+    def test_tseitin_chain_folds_to_its_function(self):
+        """A two-gate cone over frozen inputs, its output pinned to 1:
+        only clauses over the frozen inputs remain."""
+        # 3 = AND(1, 2); 4 = OR(3, -2); unit 4.
+        clauses = [[-3, 1], [-3, 2], [3, -1, -2],
+                   [4, -3], [4, 2], [-4, 3, -2], [4]]
+        result, survivors = eliminate(clauses, 2)
+        assert survivors == {}
+        assert _extending_assignments(result, 2, 2) == {0b00, 0b01, 0b11}

@@ -21,6 +21,8 @@ from hypothesis import strategies as st
 
 import repro.attacks.seq_sat as seq_sat
 from repro.api import ATTACKS
+from repro.api.cells import resolve_scheme_spec
+from repro.api.circuits import load_circuit
 from repro.attacks import (
     SimulationOracle,
     comb_sat_attack,
@@ -445,3 +447,21 @@ class TestPinningEquivalence:
             n_vars = engine.solver.num_vars
             engine.pin_response(dip, response)
             assert engine.solver.num_vars == n_vars
+
+    def test_pins_allocate_no_eliminated_variable(self):
+        """Counted on the dip-loop synth cell (κs=2): its 256 pins leave
+        the solver at most 1.25x the miter's variables, where keeping
+        every pin gate held 2,334 against the miter's 163."""
+        netlist = load_circuit("synth?gates=120&ffs=8&pis=4&pos=3&seed=0")
+        scheme, params = resolve_scheme_spec("trilock?kappa_s=2")
+        locked = scheme.lock(netlist, seed=0, **params)
+        depth = locked.config.kappa_s
+        view, key_inputs, _ = unrolled_attack_view(
+            locked.netlist, locked.config.kappa, depth)
+        engine = DipEngine(_with_folded_constants(view), key_inputs)
+        miter_vars = engine.solver.num_vars
+        oracle = SimulationOracle(locked.original).flat_window(depth)
+        while batch := engine.find_dip_batch():
+            engine.pin_batch(zip(batch, oracle(batch)))
+        assert engine.n_pinned == 256
+        assert engine.solver.num_vars <= 1.25 * miter_vars
