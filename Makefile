@@ -14,8 +14,10 @@ test:
 smoke:
 	$(PY) -m pytest -q -m smoke
 
-# Attack-engine differential grid: DIP batching on each CDCL
-# configuration, one solver per attack (part of the tier-1 suite too).
+# Attack-engine differential grid: DIP batching against the default
+# attack, the serial DIP walk, cache keys, and a seq-sat cell on the
+# `native` backend over the in-tree DIMACS engine (part of the tier-1
+# suite too).
 test-attacks:
 	$(PY) -m pytest -q tests/test_dip_batching.py
 

@@ -12,7 +12,7 @@ equivalent on the attacked window.
 The attack engine is built from two orthogonal pieces:
 
 * :class:`DipEngine` owns the miter, the constraint store, and one
-  solver backend (the reference ``cdcl`` unless one is passed in, see
+  solver backend (the in-tree ``cdcl`` unless one is passed in, see
   :func:`repro.sat.make_backend`);
 * :func:`comb_sat_attack` drives the DIP loop, optionally *batched*:
   ``dip_batch=k`` extracts up to ``k`` distinct DIPs per miter round by

@@ -74,7 +74,12 @@ SHARD_ENV = "REPRO_WORKER_SHARD"
 def _cell_main(conn, fn_path, kwargs):
     """Cell subprocess: execute, ship the envelope."""
     # A cancelled cell dies at once, not through the agent's handler.
+    # It was forked with SIGTERM blocked (see _RunningCell): a cancel
+    # that lands earlier waits until here instead of raising the
+    # agent's SystemExit inside the fork's after-fork hooks, which
+    # swallow it, leaving the cell running until the SIGKILL fallback.
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
     try:
         envelope = _execute_cell(fn_path, kwargs)
     except (KeyboardInterrupt, SystemExit):  # pragma: no cover
@@ -105,7 +110,11 @@ class _RunningCell:
         self.conn, child = multiprocessing.Pipe(duplex=False)
         self.process = multiprocessing.Process(
             target=_cell_main, args=(child, fn_path, kwargs))
-        self.process.start()
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
+        try:
+            self.process.start()
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         child.close()
         self.started = time.monotonic()
 

@@ -2,10 +2,7 @@
 model enumeration."""
 
 from repro.sat.backend import (
-    BUILTIN_CONFIGS,
-    CdclConfig,
     DEFAULT_BACKEND,
-    DpllBackend,
     SolverBackend,
     backend_names,
     make_backend,
@@ -24,11 +21,8 @@ from repro.sat.native import (
 from repro.sat.solver import Solver
 
 __all__ = [
-    "BUILTIN_CONFIGS",
-    "CdclConfig",
     "DEFAULT_BACKEND",
     "DimacsSubprocessBackend",
-    "DpllBackend",
     "NativeUnavailableBackend",
     "PySatBackend",
     "Solver",

@@ -13,9 +13,11 @@ package is available offline). Features:
 * learnt-clause database reduction with free-list slot recycling,
 * incremental use: clauses may be added between ``solve`` calls, and
   ``solve(assumptions=...)`` checks satisfiability under temporary
-  literal assumptions (the workhorse of the DIP loop),
-* tunable search heuristics (restart pacing, activity decays, default
-  phase), which the registered ``cdcl-*`` backends set.
+  literal assumptions (the workhorse of the DIP loop).
+
+The search heuristics are fixed (the module constants below). The
+attacks' DIP walks, and so the cached cell values, follow from them:
+changing one is a CODE_VERSION bump.
 
 Internally the solver is arena-ized: clauses live in one flat Python
 int list (``[size, lit0, lit1, ...]`` records addressed by integer
@@ -41,6 +43,16 @@ _TRUE, _FALSE, _UNASSIGNED = 1, 0, -1
 #: Sentinel clause reference meaning "no clause" (decision / no conflict).
 _NO_CREF = -1
 
+#: The search heuristics: the EVSIDS variable and clause activity decays
+#: (the bump increment grows by ``1/decay`` per conflict), the conflict
+#: unit of the Luby restarts, a fresh variable's saved phase, and the
+#: learnt-clause database's base size before reduction.
+_VAR_DECAY = 0.95
+_CLAUSE_DECAY = 0.999
+_RESTART_BASE = 64
+_PHASE_DEFAULT = False
+_LEARNT_CAP = 4000
+
 
 def _encode(lit):
     """Signed DIMACS literal -> encoded literal (``var << 1 | sign``)."""
@@ -48,31 +60,9 @@ def _encode(lit):
 
 
 class Solver:
-    """Incremental CDCL solver over a flat clause arena.
+    """Incremental CDCL solver over a flat clause arena."""
 
-    The keyword arguments are the tunable search heuristics of the
-    registered ``cdcl-*`` configurations; the defaults reproduce the
-    original fixed behaviour exactly.
-
-    ``var_decay`` / ``clause_decay``
-        EVSIDS decay factors in ``(0, 1]`` (activities are bumped by a
-        increment that grows by ``1/decay`` per conflict).
-    ``restart_base``
-        Conflict budget multiplier of the Luby restart sequence.
-    ``phase_default``
-        Initial saved phase of fresh variables (phase saving overwrites
-        it as the search runs).
-    ``learnt_cap``
-        Base size of the learnt-clause database before reduction kicks
-        in (the cap grows with the problem clause count).
-    """
-
-    def __init__(self, var_decay=0.95, clause_decay=0.999, restart_base=64,
-                 phase_default=False, learnt_cap=4000):
-        if not 0.0 < var_decay <= 1.0 or not 0.0 < clause_decay <= 1.0:
-            raise SolverError("activity decays must be in (0, 1]")
-        if restart_base < 1:
-            raise SolverError("restart_base must be >= 1")
+    def __init__(self):
         self._num_vars = 0
         # Clause arena: [size, lit0, lit1, ...] records; cref = record index.
         self._arena = []
@@ -87,7 +77,7 @@ class Solver:
         # Indexed by variable (index 0 unused).
         self._level = [0]
         self._reason = [_NO_CREF]
-        self._phase = [bool(phase_default)]
+        self._phase = [_PHASE_DEFAULT]
         self._activity = [0.0]
         self._order = []          # lazy max-heap of (-activity, var)
         # The activity of var's entry in ``_order`` (-1.0: none there).
@@ -98,12 +88,9 @@ class Solver:
         self._unsat = False
         self._model = None
         self._var_inc = 1.0
-        self._var_decay = 1.0 / var_decay
+        self._var_decay = 1.0 / _VAR_DECAY
         self._cla_inc = 1.0
-        self._cla_decay = 1.0 / clause_decay
-        self._restart_base = int(restart_base)
-        self._phase_default = bool(phase_default)
-        self._learnt_cap = int(learnt_cap)
+        self._cla_decay = 1.0 / _CLAUSE_DECAY
         self._max_learnts = 0.0   # adaptive DB budget, set per solve call
         # statistics
         self.num_conflicts = 0
@@ -127,7 +114,7 @@ class Solver:
         self._bin.append([])
         self._level.append(0)
         self._reason.append(_NO_CREF)
-        self._phase.append(self._phase_default)
+        self._phase.append(_PHASE_DEFAULT)
         self._activity.append(0.0)
         self._queued.append(0.0)
         heapq.heappush(self._order, (0.0, var))
@@ -213,13 +200,13 @@ class Solver:
                 (lit << 1) if lit > 0 else ((-lit) << 1) | 1)
 
         # MiniSat-style adaptive learnt-DB budget: start at a third of
-        # the problem clauses, grow 10% per restart. ``learnt_cap`` (the
+        # the problem clauses, grow 10% per restart. ``_LEARNT_CAP`` (the
         # seed trigger) stays as the hard ceiling, so reduction is never
         # *later* than it was, only earlier — keeping watch lists short.
         self._max_learnts = max(len(self._clauses) / 3.0, 100.0)
         restart = 0
         while True:
-            threshold = self._restart_base * _luby(restart)
+            threshold = _RESTART_BASE * _luby(restart)
             status = self._search(threshold, enc_assumptions)
             restart += 1
             if status is None:
@@ -253,9 +240,7 @@ class Solver:
 
     def stats(self):
         return {
-            # Uniform across backends: CdclConfig.build() stamps the
-            # registered name; a bare Solver() is the reference config.
-            "backend": getattr(self, "backend_name", "cdcl"),
+            "backend": "cdcl",
             "vars": self._num_vars,
             "clauses": len(self._clauses),
             "learnts": len(self._learnts),
@@ -292,7 +277,7 @@ class Solver:
                 self._cancel_until(0)
                 return None  # restart
             limit = self._max_learnts
-            cap = self._learnt_cap + len(self._clauses) // 2
+            cap = _LEARNT_CAP + len(self._clauses) // 2
             if limit > cap:
                 limit = cap
             if (len(self._learnts) >= limit

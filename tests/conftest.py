@@ -8,11 +8,13 @@ as read-only or copy them first).
 from __future__ import annotations
 
 import functools
+import shlex
 
 import pytest
 
 from repro.bench.synth import generate_circuit
 from repro.core import TriLockConfig, lock
+from repro.sat import in_tree_engine_argv
 
 
 @functools.lru_cache(maxsize=None)
@@ -49,6 +51,15 @@ def _hermetic_cache_dir(tmp_path, monkeypatch):
     """Point the campaign result cache at a per-test directory so no test
     reads stale cells or litters the working tree with .repro-cache."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "repro-cache"))
+
+
+@pytest.fixture
+def native_engine(monkeypatch):
+    """Back the ``native`` solver backend with the in-tree DIMACS engine:
+    each solve runs a fresh ``Solver`` in a subprocess, with the
+    assumptions as unit clauses, instead of the ``cdcl`` backend's one
+    incremental search."""
+    monkeypatch.setenv("REPRO_SAT_BINARY", shlex.join(in_tree_engine_argv()))
 
 
 @pytest.fixture

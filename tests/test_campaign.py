@@ -575,15 +575,14 @@ class TestAttackEngineFlags:
 
     def test_engine_knobs_mint_fresh_cells(self, capsys):
         self.run_table1(capsys)
-        _, err = self.run_table1(
-            capsys, ["--dip-batch", "2", "--solver", "cdcl-stable"])
+        _, err = self.run_table1(capsys, ["--dip-batch", "2"])
         # Knobs are part of the cache key: nothing stale is replayed.
         assert "[cache: 0 hits, 1 misses" in err
 
-    def test_engine_knobs_do_not_change_resilience(self):
+    def test_engine_knobs_do_not_change_resilience(self, native_engine):
         base = table1_sat_resilience.run(scale=0.08)
         tuned = table1_sat_resilience.run(scale=0.08, dip_batch=2,
-                                          solver="cdcl-stable")
+                                          solver="native")
         assert [row["ndip"] for row in base.rows] \
             == [row["ndip"] for row in tuned.rows]
         assert [row["key_ok"] for row in base.rows] \

@@ -153,7 +153,7 @@ class TestAttackCommand:
         assert code == 1
         assert "max_dips" in text
 
-    def test_attack_engine_flags(self, workspace):
+    def test_attack_engine_flags(self, workspace, native_engine):
         """--dip-batch/--solver reach the attack and still recover the
         key."""
         run_cli(["lock", workspace["design"], "--kappa-s", "1",
@@ -162,7 +162,7 @@ class TestAttackCommand:
         code, text = run_cli([
             "attack", workspace["design"], workspace["locked"],
             "--kappa", "2", "--depth", "1", "--dip-batch", "2",
-            "--solver", "cdcl-stable"])
+            "--solver", "native"])
         assert code == 0
         assert "key recovered" in text
 
@@ -176,7 +176,7 @@ class TestAttackCommand:
             "--solver", "minisat-classic"])
         assert code == 2
         assert "error" in text and "unknown solver backend" in text
-        assert "cdcl-stable" in text
+        assert "known: cdcl, native" in text
 
     def test_race_flags_are_gone(self, workspace):
         for flags in (["--attack-jobs", "2"], ["--portfolio", "race"]):

@@ -1,12 +1,15 @@
 """Differential and regression suite for the DIP engine's knobs.
 
-Three claims are established here:
+Four claims are established here:
 
 * *Differential*: for a grid of small locked benches (κs ∈ {1, 2}),
-  batched-DIP attacks on each of the CDCL configurations recover a key
-  in the same equivalence class as the default attack — verified by a
-  miter UNSAT check, not by comparing key bits (TriLock keys need not
-  be unique on the attacked window).
+  batched-DIP attacks recover a key in the same equivalence class as
+  the default attack — verified by a miter UNSAT check, not by
+  comparing key bits (TriLock keys need not be unique on the attacked
+  window).
+* *Second engine*: a ``seq-sat`` cell on the ``native`` backend (the
+  in-tree DIMACS engine, a subprocess per solve) pins Theorem 1's DIP
+  count and recovers the key.
 * *Regression*: batched DIP extraction leaves the solver in a state
   equivalent to pinning the same DIPs one at a time (identical
   candidate-key feasible set), even when the batch limit exceeds the
@@ -21,7 +24,7 @@ Run the whole file with ``make test-attacks``.
 
 import pytest
 
-from repro.api import matrix_cells
+from repro.api import matrix_cell, matrix_cells
 from repro.attacks import (
     DipEngine,
     attack_locked_circuit,
@@ -37,9 +40,6 @@ from repro.sat import make_backend
 
 from tests.conftest import batch_oracle, locked_factory
 from tests.util import reference_outputs
-
-#: The CDCL configurations the differential grid runs one at a time.
-SOLVERS = ["cdcl", "cdcl-agile", "cdcl-stable"]
 
 
 def and_pair_locked(width=2):
@@ -110,7 +110,7 @@ class TestCombDifferential:
         return netlist, ks, oracle, comb_sat_attack(netlist, ks, oracle)
 
     @pytest.mark.parametrize("dip_batch", [1, 2, 4])
-    @pytest.mark.parametrize("solver", SOLVERS)
+    @pytest.mark.parametrize("solver", ["cdcl"])
     def test_same_equivalence_class_as_baseline(self, dip_batch, solver):
         netlist, ks, oracle, base = self.baseline()
         assert base.success
@@ -131,7 +131,7 @@ class TestCombDifferential:
 class TestSequentialDifferential:
     @pytest.mark.parametrize("kappa_s", [1, 2])
     @pytest.mark.parametrize("dip_batch", [1, 2, 4])
-    @pytest.mark.parametrize("solver", SOLVERS)
+    @pytest.mark.parametrize("solver", ["cdcl"])
     def test_grid_matches_default_attack(self, kappa_s, dip_batch, solver):
         locked = locked_factory(kappa_s=kappa_s, kappa_f=1, alpha=0.6,
                                 seed=3)
@@ -156,12 +156,11 @@ class TestSequentialDifferential:
         assert base.n_dips == again.n_dips
         assert base.dips_per_depth == again.dips_per_depth
 
-    def test_each_depth_builds_its_own_backend(self, monkeypatch):
+    def test_each_depth_builds_its_own_backend(self, monkeypatch,
+                                               native_engine):
         """Iterative deepening hands every depth a fresh backend of the
         named solver."""
         import repro.attacks.seq_sat as seq_sat
-        from repro.bench import load_benchmark
-        from repro.core import lock, naive_config
 
         solvers = []
         original = seq_sat.comb_sat_attack
@@ -171,19 +170,33 @@ class TestSequentialDifferential:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(seq_sat, "comb_sat_attack", watching)
-        locked = lock(load_benchmark("s27"), naive_config(2, seed=1))
+        locked = locked_factory(kappa_s=2, kappa_f=1, alpha=0.6, seed=3,
+                                n_inputs=1)
         result = attack_locked_circuit(locked, known_depth=1,
-                                       solver="cdcl-agile")
+                                       solver="native")
         assert result.success
         assert len(solvers) == len(result.depths_tried) >= 2
         assert len({id(solver) for solver in solvers}) == len(solvers)
         assert {solver.stats()["backend"] for solver in solvers} \
-            == {"cdcl-agile"}
+            == {"native"}
 
     def test_unknown_solver_lists_the_registered_ones(self):
         locked = locked_factory(kappa_s=1, kappa_f=1, alpha=0.6, seed=3)
-        with pytest.raises(SolverError, match="known: .*cdcl-stable"):
+        with pytest.raises(SolverError, match=r"known: cdcl, native\)"):
             attack_locked_circuit(locked, solver="race2")
+
+
+class TestNativeEngine:
+    def test_seq_sat_cell_recovers_the_key(self, native_engine):
+        """The registered ``seq-sat`` attack end to end on the ``native``
+        backend, which solves every query from scratch in a DIMACS
+        subprocess: s27 (4 inputs) at κs=1 pins exactly 2^4 DIPs and
+        recovers a correct key."""
+        value = matrix_cell("s27", 0, "trilock?kappa_s=1",
+                            "seq-sat?solver=native")
+        assert value["success"]
+        assert value["metrics"]["n_dips"] == ndip_trilock(1, 4) == 16
+        assert value["metrics"]["key_ok"]
 
 
 @pytest.mark.smoke
@@ -323,25 +336,23 @@ class TestCacheKeyKnobs:
     def test_each_knob_changes_the_key(self):
         base = self.first_key()
         assert self.first_key(dip_batch=4) != base
-        assert self.first_key(solver="cdcl-stable") != base
-        assert self.first_key(solver="cdcl-agile") \
-            != self.first_key(solver="cdcl-stable")
+        assert self.first_key(solver="native") != base
+        assert self.first_key(solver="cdcl") == base
 
     def test_knob_cells_do_not_collide_pairwise(self):
         keys = {
             self.first_key(),
             self.first_key(dip_batch=2),
             self.first_key(dip_batch=4),
-            self.first_key(solver="cdcl-agile"),
-            self.first_key(solver="cdcl-stable"),
-            self.first_key(dip_batch=2, solver="cdcl-stable"),
+            self.first_key(solver="native"),
+            self.first_key(dip_batch=2, solver="native"),
         }
-        assert len(keys) == 6
+        assert len(keys) == 5
 
     def test_unknown_solver_fails_eagerly(self):
         """An unregistered solver name is rejected when the cells are
         enumerated, before any attack runs."""
-        with pytest.raises(SolverError, match="known: .*cdcl-stable"):
+        with pytest.raises(SolverError, match=r"known: cdcl, native\)"):
             self.first_key(solver="race")
 
     def test_table1_cells_share_the_matrix_keys(self):

@@ -384,7 +384,7 @@ class TestBackendResolution:
 
     def test_cell_spec_wire_roundtrip(self):
         spec = CellSpec.matrix("s27", "trilock?kappa_s=2",
-                               "seq-sat?solver=cdcl-stable")
+                               "seq-sat?solver=native")
         clone = CellSpec.from_wire(spec.to_wire())
         assert clone == spec
         assert clone.key() == spec.key()
@@ -658,7 +658,41 @@ def _frame_reader(conn):
     return read_until
 
 
+def _cancel_a_starting_cell(conn):
+    """In a process with the agent's SIGTERM handler: start a cell and
+    kill it at once; report how long the kill took and the exit code."""
+    import repro.campaign.worker as worker_mod
+
+    signal.signal(signal.SIGTERM, worker_mod._exit_on_sigterm)
+    cell = worker_mod._RunningCell("tests.test_distributed:slow_cell",
+                                   {"seconds": 30})
+    start = time.monotonic()
+    cell.kill()
+    conn.send((time.monotonic() - start, cell.process.exitcode))
+
+
 class TestWorkerSigterm:
+    def test_cell_cancelled_as_it_starts_dies_at_once(self):
+        """A cancel that reaches a cell before its process has reset
+        SIGTERM still kills it at once. Without the fork's blocked
+        SIGTERM, the agent's inherited handler raises inside the
+        after-fork hooks, which swallow it; the cell then runs until the
+        5 s SIGKILL fallback, and an agent that sends no heartbeat for
+        that long is dropped by a scheduler with a 5 s timeout."""
+        reader, writer = multiprocessing.Pipe(duplex=False)
+        agent = multiprocessing.Process(target=_cancel_a_starting_cell,
+                                        args=(writer,))
+        agent.start()
+        writer.close()
+        try:
+            assert reader.poll(30), "the agent never reported"
+            seconds, exitcode = reader.recv()
+        finally:
+            agent.join(timeout=10)
+        assert exitcode == -signal.SIGTERM
+        assert seconds < 2.0
+
+
     def test_sigterm_kills_the_running_cell(self, tmp_path):
         """A SIGTERMed agent takes its orderly exit and kills the cell
         it runs, instead of leaving it to run on as an orphan."""

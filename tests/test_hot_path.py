@@ -3,7 +3,6 @@ backend, the FC seed-derivation fix, and the typed-extrapolation-error
 cases."""
 
 import random
-import shlex
 
 import pytest
 
@@ -18,19 +17,12 @@ from repro.metrics.resilience import ResilienceMeasurement
 from repro.sat import (
     NativeUnavailableBackend,
     dpll_solve,
-    in_tree_engine_argv,
     make_backend,
 )
 from tests.conftest import locked_factory
 from tests.test_solver_backends import random_3cnf, random_assumptions
 
 pytestmark = pytest.mark.smoke
-
-
-def _native_env(monkeypatch):
-    monkeypatch.setenv(
-        "REPRO_SAT_BINARY",
-        " ".join(shlex.quote(part) for part in in_tree_engine_argv()))
 
 
 # ----------------------------------------------------------------------
@@ -40,8 +32,7 @@ class TestNewBackendsAgainstDpll:
     @pytest.mark.parametrize("name", ["native"])
     @pytest.mark.parametrize("seed", range(6))
     def test_random_3cnf_with_assumption_stacks(self, name, seed,
-                                                monkeypatch):
-        _native_env(monkeypatch)
+                                                native_engine):
         rng = random.Random(sum(ord(ch) for ch in name) * 777 + seed)
         num_vars = rng.randint(4, 12)
         cnf = random_3cnf(rng, num_vars, rng.randint(4, 50))
@@ -59,8 +50,7 @@ class TestNewBackendsAgainstDpll:
                 for lit in assumptions:
                     assert model[abs(lit)] == (lit > 0)
 
-    def test_native_incremental_add_between_solves(self, monkeypatch):
-        _native_env(monkeypatch)
+    def test_native_incremental_add_between_solves(self, native_engine):
         backend = make_backend("native")
         backend.ensure_vars(3)
         assert backend.add_clause([1, 2])

@@ -7,27 +7,18 @@ is read while it runs, so a model longer than the pipe buffer cannot
 stall the solve.
 """
 
-import shlex
 import sys
 import threading
 
 import pytest
 
-from repro.sat import DimacsSubprocessBackend, in_tree_engine_argv, \
-    make_backend
+from repro.sat import DimacsSubprocessBackend, make_backend
 
 pytestmark = pytest.mark.smoke
 
 
-def _native_env(monkeypatch):
-    monkeypatch.setenv(
-        "REPRO_SAT_BINARY",
-        " ".join(shlex.quote(part) for part in in_tree_engine_argv()))
-
-
 class TestIncrementalSpool:
-    def test_each_clause_serialized_once_across_solves(self, monkeypatch):
-        _native_env(monkeypatch)
+    def test_each_clause_serialized_once_across_solves(self, native_engine):
         backend = make_backend("native")
         backend.ensure_vars(4)
         backend.add_clause([1, 2])
@@ -42,8 +33,7 @@ class TestIncrementalSpool:
         # 3 clauses over 3 solves: a per-solve rebuild would serialize 8.
         assert stats["serialized_clauses"] == 3
 
-    def test_assumptions_do_not_leak_into_later_solves(self, monkeypatch):
-        _native_env(monkeypatch)
+    def test_assumptions_do_not_leak_into_later_solves(self, native_engine):
         backend = make_backend("native")
         backend.ensure_vars(2)
         backend.add_clause([1, 2])
@@ -54,8 +44,7 @@ class TestIncrementalSpool:
         assert backend.solve(assumptions=[-1]) is True
         assert backend.stats()["serialized_clauses"] == 1
 
-    def test_growing_vars_updates_header(self, monkeypatch):
-        _native_env(monkeypatch)
+    def test_growing_vars_updates_header(self, native_engine):
         backend = make_backend("native")
         backend.ensure_vars(2)
         backend.add_clause([1, 2])

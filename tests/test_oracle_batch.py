@@ -167,8 +167,8 @@ class TestBatchedSerialDifferential:
         if dip_batch > 1 and batched.n_dips > 1:
             assert batched_oracle.query_count < serial_oracle.query_count
 
-    def test_identical_under_another_solver(self):
-        (serial, _), (batched, _) = _attack_pair(2, 4, solver="cdcl-stable")
+    def test_identical_under_another_solver(self, native_engine):
+        (serial, _), (batched, _) = _attack_pair(1, 2, solver="native")
         assert batched.key == serial.key
         assert batched.n_dips == serial.n_dips
 

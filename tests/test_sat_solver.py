@@ -294,6 +294,13 @@ def assert_one_live_entry(solver):
             assert solver._queued[var] == act, var
 
 
+def with_var_decay(solver, var_decay):
+    """``solver`` with its variable activity decay set to ``var_decay``
+    (white-box: the engine's own decay is a fixed 0.95)."""
+    solver._var_decay = 1.0 / var_decay
+    return solver
+
+
 class TestHeapOneLiveEntry:
     @given(seed=st.integers(0, 10_000), var_decay=st.sampled_from([0.95, 0.1]),
            rounds=st.integers(1, 6))
@@ -306,7 +313,7 @@ class TestHeapOneLiveEntry:
         num_vars = rng.randint(5, 40)
         cnf = random_cnf(rng, num_vars, rng.randint(num_vars, 5 * num_vars),
                          max_width=3)
-        solvers = [cls(var_decay=var_decay)
+        solvers = [with_var_decay(cls(), var_decay)
                    for cls in (Solver, ReferenceHeapSolver)]
         for solver in solvers:
             solver.add_cnf(cnf)
@@ -329,7 +336,7 @@ class TestHeapOneLiveEntry:
         heap stays one entry per variable and the search is unchanged."""
         stats = []
         for cls in (Solver, ReferenceHeapSolver):
-            solver = cls(var_decay=0.1)
+            solver = with_var_decay(cls(), 0.1)
             holes, pigeons = 5, 6
 
             def var(p, h):
