@@ -14,10 +14,10 @@ test:
 smoke:
 	$(PY) -m pytest -q -m smoke
 
-# Attack-engine differential grid: DIP batching against the default
-# attack, the serial DIP walk, cache keys, and a seq-sat cell on the
-# `native` backend over the in-tree DIMACS engine (part of the tier-1
-# suite too).
+# Attack-engine differential grid: DIP batching and a second search
+# (the engine trying the opposite polarity first) against the default
+# attack, the serial DIP walk, cache keys, and a seq-sat cell under the
+# second search (part of the tier-1 suite too).
 test-attacks:
 	$(PY) -m pytest -q tests/test_dip_batching.py
 

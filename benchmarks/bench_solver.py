@@ -34,7 +34,6 @@ runs can be diffed; the text artifact carries the same numbers
 human-readable.
 """
 
-import shlex
 import time
 from statistics import mean
 
@@ -58,7 +57,7 @@ from repro.metrics import (
     paper_depth_range,
     simulate_fc,
 )
-from repro.sat import Solver, in_tree_engine_argv, make_backend
+from repro.sat import Solver
 from repro.sim import (
     CombSimulator,
     SequentialSimulator,
@@ -92,18 +91,17 @@ def php_instance(pigeons, holes):
     return pigeons * holes, clauses
 
 
-def _timed_solve(factory, n_vars, clauses, assumptions=(),
-                 clock=time.process_time):
-    solver = factory()
+def _timed_solve(n_vars, clauses):
+    solver = Solver()
     solver.ensure_vars(n_vars)
     ok = True
     for clause in clauses:
         if not solver.add_clause(clause):
             ok = False
             break
-    start = clock()
-    result = solver.solve(assumptions=assumptions) if ok else False
-    seconds = clock() - start
+    start = time.process_time()
+    result = solver.solve() if ok else False
+    seconds = time.process_time() - start
     return result, seconds, solver.stats()
 
 
@@ -119,9 +117,9 @@ def test_arena_solver_conflict_rate(benchmark, artifact_sink,
             # Last run goes through pytest-benchmark so the workload
             # shows up in its table too.
             result, elapsed, stats = run_once(
-                benchmark, _timed_solve, Solver, n_vars, clauses)
+                benchmark, _timed_solve, n_vars, clauses)
         else:
-            result, elapsed, stats = _timed_solve(Solver, n_vars, clauses)
+            result, elapsed, stats = _timed_solve(n_vars, clauses)
         assert result is False
         seconds = min(seconds, elapsed)
 
@@ -140,36 +138,6 @@ def test_arena_solver_conflict_rate(benchmark, artifact_sink,
             "arena_propagations_per_sec": prop_rate,
         },
     })
-
-
-def test_native_backend_on_structured_instance(artifact_sink,
-                                               bench_json_merge,
-                                               monkeypatch):
-    """The DIMACS subprocess adapter end to end, against the bundled
-    engine — a correctness-plus-overhead data point (one process spawn
-    plus a formula round-trip per solve), recorded, not raced."""
-    monkeypatch.setenv(
-        "REPRO_SAT_BINARY",
-        " ".join(shlex.quote(part) for part in in_tree_engine_argv()))
-    n_vars, clauses = php_instance(7, 7)  # SAT: one pigeon per hole
-    # Wall clock: the work happens in a child process, which
-    # process_time would not count.
-    result, seconds, stats = _timed_solve(
-        lambda: make_backend("native"), n_vars, clauses,
-        clock=time.perf_counter)
-    assert result is True
-    bench_json_merge("solver", {
-        "native_subprocess": {
-            "instance": "php(7,7)",
-            "engine": stats["engine"],
-            "seconds": seconds,
-        },
-    })
-    artifact_sink(
-        "solver_native",
-        f"native subprocess adapter ({stats['engine']})\n"
-        f"php(7,7) SAT in {seconds:.3f}s "
-        "(includes process spawn + DIMACS round-trip)\n")
 
 
 # ----------------------------------------------------------------------

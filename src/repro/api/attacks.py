@@ -31,7 +31,6 @@ from repro.attacks.removal import attempt_removal, scc_report
 from repro.attacks.seq_sat import sequential_sat_attack
 from repro.attacks.stg import stg_report
 from repro.core.keys import KeySequence
-from repro.sat import DEFAULT_BACKEND
 
 #: The global attack registry.
 ATTACKS = Registry("attack")
@@ -145,11 +144,9 @@ def register_attack(name, description="", params=None, replace=False):
     return decorate
 
 
-#: Engine knobs shared by the SAT-family attacks.
+#: The engine knob shared by the SAT-family attacks.
 _ENGINE_PARAMS = {
     "dip_batch": Param("int", 1, "DIPs extracted per miter round"),
-    "solver": Param("str", DEFAULT_BACKEND, "registered solver backend "
-                                            "(repro.sat.backend_names)"),
 }
 
 
@@ -191,7 +188,7 @@ def _phase_timing(result):
         **_ENGINE_PARAMS,
     })
 def _attack_seq_sat(locked, oracle, budget, depth, max_depth, check_rounds,
-                    dip_batch, solver):
+                    dip_batch):
     """Success = a verified key was recovered within budget."""
     known_depth = depth if depth is not None else locked.config.kappa_s
     result = sequential_sat_attack(
@@ -199,7 +196,7 @@ def _attack_seq_sat(locked, oracle, budget, depth, max_depth, check_rounds,
         known_depth=known_depth, max_depth=max_depth,
         max_dips=budget.max_dips, time_budget=budget.time_budget,
         reference=locked.original, check_rounds=check_rounds,
-        dip_batch=dip_batch, solver=solver)
+        dip_batch=dip_batch)
     return AttackOutcome(
         attack="seq-sat", success=result.success, seconds=result.seconds,
         metrics=_key_metrics(result, locked),
@@ -217,7 +214,7 @@ def _attack_seq_sat(locked, oracle, budget, depth, max_depth, check_rounds,
                                     "(null = kappa_s)"),
         **_ENGINE_PARAMS,
     })
-def _attack_comb_sat(locked, oracle, budget, depth, dip_batch, solver):
+def _attack_comb_sat(locked, oracle, budget, depth, dip_batch):
     """Success = a key consistent with the whole attacked window was
     found *and* verifies against the oracle beyond it."""
     known_depth = depth if depth is not None else locked.config.kappa_s
@@ -225,7 +222,7 @@ def _attack_comb_sat(locked, oracle, budget, depth, dip_batch, solver):
         locked.netlist, locked.config.kappa, oracle,
         known_depth=known_depth, max_depth=known_depth,
         max_dips=budget.max_dips, time_budget=budget.time_budget,
-        reference=locked.original, dip_batch=dip_batch, solver=solver)
+        reference=locked.original, dip_batch=dip_batch)
     return AttackOutcome(
         attack="comb-sat", success=result.success, seconds=result.seconds,
         metrics=_key_metrics(result, locked),

@@ -2,7 +2,7 @@
 
 A *spec string* names a plugin plus its parameters in one shell-safe
 token — ``"trilock?kappa_s=3&alpha=0.5&s_pairs=10"``,
-``"seq-sat?dip_batch=4&solver=native"`` — the form campaign cells
+``"seq-sat?dip_batch=4&max_depth=6"`` — the form campaign cells
 cache-key on and the distributed scheduler ships over the wire.
 
 Grammar::

@@ -12,8 +12,7 @@ equivalent on the attacked window.
 The attack engine is built from two orthogonal pieces:
 
 * :class:`DipEngine` owns the miter, the constraint store, and one
-  solver backend (the in-tree ``cdcl`` unless one is passed in, see
-  :func:`repro.sat.make_backend`);
+  incremental :class:`~repro.sat.Solver`;
 * :func:`comb_sat_attack` drives the DIP loop, optionally *batched*:
   ``dip_batch=k`` extracts up to ``k`` distinct DIPs per miter round by
   re-solving under blocking clauses gated on the miter activation
@@ -43,7 +42,7 @@ from repro.cnf import (Cnf, FreshClauses, eliminate, encode_cone, encode_fresh,
 from repro.errors import AttackError
 from repro.netlist import GateOp, LogicBuilder, Netlist
 from repro.netlist.transform import InputSpecializer
-from repro.sat import DEFAULT_BACKEND, make_backend
+from repro.sat import Solver
 
 
 @dataclass
@@ -85,7 +84,7 @@ class DipEngine:
     net: logic built for earlier DIPs hashes onto theirs, so only the
     gates that have no solver variable are encoded, and of those only
     the ones elimination cannot remove get one. ``solver`` is the
-    backend object to solve with (a fresh ``cdcl`` when omitted).
+    solver to use (a fresh :class:`~repro.sat.Solver` when omitted).
 
     ``map_a``/``map_b`` send each net of ``locked`` to its image in key
     copy *a*/*b* of the miter, and ``var_of`` each problem net that has
@@ -108,8 +107,7 @@ class DipEngine:
         self.data_inputs = [net for net in locked.inputs
                             if net not in self.key_set]
 
-        self.solver = solver if solver is not None else \
-            make_backend(DEFAULT_BACKEND)
+        self.solver = solver if solver is not None else Solver()
 
         self._problem = Netlist("dip_problem")
         self._keys = {tag: {net: f"key_{tag}::{net}"
@@ -158,9 +156,9 @@ class DipEngine:
     def _solve(self, assumptions=()):
         """Solve, refusing to conflate *unknown* with UNSAT.
 
-        No built-in backend answers ``None``, but a registered
-        third-party one may (a solver that gave up); treating that as
-        "no DIP remains" would let the attack report success with an
+        :class:`~repro.sat.Solver` never answers ``None``, but a
+        solver passed in may (one that gave up); treating that as "no
+        DIP remains" would let the attack report success with an
         under-constrained key.
         """
         result = self.solver.solve(assumptions=assumptions)
@@ -311,8 +309,7 @@ def comb_sat_attack(locked, key_inputs, oracle, max_dips=None,
         DIPs extracted (and oracle responses pinned) per miter round;
         1 reproduces the classic one-DIP-per-iteration loop exactly.
     ``solver``
-        The backend object to solve with, forwarded to
-        :class:`DipEngine`.
+        The solver to use, forwarded to :class:`DipEngine`.
     """
     start = time.perf_counter()
     if dip_batch < 1:

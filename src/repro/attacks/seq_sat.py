@@ -7,7 +7,7 @@ Implements the attack family the paper evaluates against [6,14,15,16]:
    ``κs`` and the experiments pass it in exactly as the paper assumes.
 2. Unroll the locked circuit ``κ + b`` cycles and run COMB-SAT on it,
    treating the first ``κ`` cycle-inputs as the key sequence; each depth
-   solves on one fresh backend of the registered ``solver`` name.
+   solves on a fresh solver.
 3. Model-check the candidate key beyond depth ``b`` (BMC against the
    reference when the harness provides it, black-box random simulation
    otherwise); on a counterexample, deepen and continue.
@@ -24,7 +24,6 @@ from repro.attacks.oracle import SimulationOracle
 from repro.core.keys import KeySequence
 from repro.errors import AttackError
 from repro.netlist.transform import simplified
-from repro.sat import DEFAULT_BACKEND, make_backend
 from repro.sim.random_vectors import make_rng, random_vectors
 from repro.sim.seq import SequentialSimulator
 from repro.unroll import unroll
@@ -126,7 +125,7 @@ def estimate_min_unroll_depth(locked_netlist, kappa, max_depth=16,
 def sequential_sat_attack(locked_netlist, kappa, oracle, known_depth=None,
                           max_depth=12, max_dips=None, time_budget=None,
                           reference=None, check_rounds=24, seed=0,
-                          dip_batch=1, solver=DEFAULT_BACKEND):
+                          dip_batch=1):
     """Oracle-guided sequential SAT attack; returns :class:`SeqAttackResult`.
 
     ``oracle``
@@ -139,12 +138,9 @@ def sequential_sat_attack(locked_netlist, kappa, oracle, known_depth=None,
         verified by BMC; otherwise by ``check_rounds`` random oracle
         sequences, asked in one batched oracle call (pure black-box
         mode).
-    ``dip_batch`` / ``solver``
-        Attack-engine knobs for the COMB-SAT core of each unrolling
-        depth: DIPs extracted per miter round, and the registered name
-        of the solver backend (:func:`repro.sat.make_backend`; an
-        unknown name fails with the registered ones) each depth builds
-        afresh.  The defaults reproduce the classic loop exactly.
+    ``dip_batch``
+        DIPs extracted per miter round by the COMB-SAT core of each
+        unrolling depth; 1 reproduces the classic loop exactly.
     """
     start = time.perf_counter()
     rng = make_rng(("seqsat", seed))
@@ -163,9 +159,6 @@ def sequential_sat_attack(locked_netlist, kappa, oracle, known_depth=None,
             oracle_calls=oracle.query_count, **timers, **fields)
 
     while depth <= max_depth:
-        # A fresh backend per depth; an unknown name fails here, before
-        # any unrolling.
-        backend = make_backend(solver)
         depths_tried.append(depth)
         view, key_inputs, data_inputs = unrolled_attack_view(
             locked_netlist, kappa, depth)
@@ -182,7 +175,7 @@ def sequential_sat_attack(locked_netlist, kappa, oracle, known_depth=None,
             view, key_inputs, oracle.flat_window(depth),
             max_dips=None if max_dips is None
             else max_dips - total_dips,
-            time_budget=budget_left, dip_batch=dip_batch, solver=backend)
+            time_budget=budget_left, dip_batch=dip_batch)
         total_dips += result.n_dips
         dips_per_depth[depth] = result.n_dips
         for phase in ("solve_seconds", "oracle_seconds",

@@ -14,7 +14,6 @@ from repro.campaign.backends import (
     ExecutorBackend,
     InlineBackend,
     backend_names,
-    register_executor_backend,
     resolve_backend,
 )
 from repro.campaign.executor import Campaign, CellResult, resolve_cell_fn
@@ -49,7 +48,6 @@ __all__ = [
     "canonical_json",
     "canonical_value",
     "default_cache_dir",
-    "register_executor_backend",
     "render_status",
     "resolve_backend",
     "resolve_cell_fn",

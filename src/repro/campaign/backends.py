@@ -15,10 +15,6 @@ given the pending cells it fills in their :class:`CellResult` slots via
   scheduler over one forked worker agent on loopback, ``jobs`` cells at
   a time, so local and remote cells share one placement, timeout and
   crash-capture path.
-
-Third-party policies register through :func:`register_executor_backend`
-and are then addressable by name everywhere a backend string is
-accepted (``Campaign(backend=...)``, ``--backend`` on the CLIs).
 """
 
 from __future__ import annotations
@@ -218,13 +214,6 @@ _BACKENDS = {
 def backend_names():
     """The registered executor backend names, sorted."""
     return tuple(sorted(_BACKENDS))
-
-
-def register_executor_backend(name, factory, replace=False):
-    """Publish ``factory(jobs) -> ExecutorBackend`` under ``name``."""
-    if name in _BACKENDS and not replace:
-        raise CampaignError(f"executor backend {name!r} already registered")
-    _BACKENDS[name] = factory
 
 
 def resolve_backend(backend, jobs=1):

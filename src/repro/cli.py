@@ -88,7 +88,6 @@ from repro.errors import ReproError
 from repro.experiments.common import format_table
 from repro.metrics import simulate_fc
 from repro.netlist import dump_bench, load_bench
-from repro.sat import DEFAULT_BACKEND
 from repro.tech import overhead
 
 #: Key-file formats this CLI reads; v2 added the scheme spec string.
@@ -146,10 +145,6 @@ def build_parser():
     attack_cmd.add_argument("--dip-batch", type=int, default=1,
                             help="DIPs extracted and pinned per miter "
                                  "round (default 1 = classic loop)")
-    attack_cmd.add_argument("--solver", default=DEFAULT_BACKEND,
-                            help="registered solver backend (default "
-                                 "%(default)s; see "
-                                 "repro.sat.backend_names)")
 
     report_cmd = commands.add_parser(
         "report", help="security and cost report of a locked design")
@@ -412,8 +407,12 @@ def _write_key_file(path, locked, scheme_spec):
 
 def _read_key_file(path):
     with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    if payload.get("format") not in _KEY_FORMATS:
+        try:
+            payload = json.load(handle)
+        except ValueError:
+            payload = None
+    if not isinstance(payload, dict) \
+            or payload.get("format") not in _KEY_FORMATS:
         raise ReproError(f"{path} is not a trilock key file")
     return payload
 
@@ -517,7 +516,7 @@ def cmd_attack(args, out):
     result = sequential_sat_attack(
         locked, kappa, oracle, known_depth=depth,
         max_dips=args.max_dips, time_budget=args.time_budget,
-        reference=original, dip_batch=args.dip_batch, solver=args.solver)
+        reference=original, dip_batch=args.dip_batch)
     phases = (f"phases: solve {result.solve_seconds:.2f}s, "
               f"oracle {result.oracle_seconds:.2f}s "
               f"({result.oracle_queries} patterns / "

@@ -43,7 +43,6 @@ from repro.experiments import (
     table2_removal,
 )
 from repro.experiments.common import DEFAULT_SCALE
-from repro.sat import DEFAULT_BACKEND
 
 EXPERIMENTS = {
     "fig3": lambda args, campaign: fig3_error_tables.run(
@@ -52,7 +51,7 @@ EXPERIMENTS = {
         campaign=campaign),
     "table1": lambda args, campaign: table1_sat_resilience.run(
         scale=args.scale, effort=args.effort, seed=args.seed,
-        campaign=campaign, dip_batch=args.dip_batch, solver=args.solver),
+        campaign=campaign, dip_batch=args.dip_batch),
     "fig7": lambda args, campaign: fig7_fc.run(
         scale=args.scale, names=args.circuits, seed=args.seed,
         n_samples=args.samples, campaign=campaign),
@@ -112,10 +111,6 @@ def build_parser():
                         help="distinguishing input patterns extracted "
                              "and pinned per miter round (default "
                              "%(default)s = classic SAT-attack loop)")
-    parser.add_argument("--solver", default=DEFAULT_BACKEND,
-                        help="registered solver backend of the attack "
-                             "cells (default %(default)s; see "
-                             "repro.sat.backend_names)")
     return parser
 
 
@@ -151,7 +146,7 @@ def run_experiment(name, args, campaign=None):
 
 
 #: Experiments that actually run a SAT attack and consume the
-#: attack-engine knobs (--dip-batch / --solver).
+#: attack-engine knob --dip-batch.
 ATTACK_EXPERIMENTS = frozenset(["table1"])
 
 
@@ -163,13 +158,11 @@ def main(argv=None):
         return 0
     names = sorted(EXPERIMENTS) if args.experiment == "all" \
         else [args.experiment]
-    engine_flags_set = (args.dip_batch != 1
-                        or args.solver != DEFAULT_BACKEND)
-    if engine_flags_set and not ATTACK_EXPERIMENTS.intersection(names):
+    if args.dip_batch != 1 and not ATTACK_EXPERIMENTS.intersection(names):
         sys.stderr.write(
-            "warning: --dip-batch/--solver only affect "
+            "warning: --dip-batch only affects "
             f"SAT-attack experiments ({', '.join(sorted(ATTACK_EXPERIMENTS))})"
-            f"; {', '.join(names)} ignores them\n")
+            f"; {', '.join(names)} ignores it\n")
     try:
         campaign = make_campaign(args)
     except ReproError as error:

@@ -32,7 +32,6 @@ from repro.experiments.common import (
 from repro.errors import ExtrapolationError
 from repro.metrics import extrapolated_resilience
 from repro.metrics.resilience import ResilienceMeasurement
-from repro.sat import DEFAULT_BACKEND, make_backend
 
 #: Paper Table I (κs -> circuit -> (ndip, seconds)); blue extrapolated
 #: entries included — used by EXPERIMENTS.md for shape comparison.
@@ -71,21 +70,17 @@ def measured_pairs(effort, kappa_s_values=(1, 2, 3)):
 
 
 def cells(scale=DEFAULT_SCALE, effort="quick", kappa_s_values=(1, 2, 3),
-          seed=0, time_budget_per_cell=None, dip_batch=1,
-          solver=DEFAULT_BACKEND):
+          seed=0, time_budget_per_cell=None, dip_batch=1):
     """One matrix cell per attacked (circuit, kappa_s) of the effort
     level.
 
     The grid is built from :func:`repro.api.matrix_cells` (one generic
     ``circuit x scheme x attack`` cell per entry) instead of a
     hand-written cell list, so Table I cells share cache entries with
-    any equivalent ``repro-lock matrix`` run (at the default engine
-    knobs, the plain ``seq-sat`` cell of the same circuit and scheme)."""
-    # An unknown solver name fails the experiment up front (listing the
-    # registered ones), not every cell one by one.
-    make_backend(solver)
-    attack = format_spec("seq-sat", {"dip_batch": dip_batch,
-                                     "solver": solver})
+    any equivalent ``repro-lock matrix`` run (at the default
+    ``dip_batch``, the plain ``seq-sat`` cell of the same circuit and
+    scheme)."""
+    attack = format_spec("seq-sat", {"dip_batch": dip_batch})
     specs = []
     for name, kappa_s in measured_pairs(effort, kappa_s_values):
         scheme = (f"trilock?kappa_s={kappa_s}&kappa_f=1&alpha=0.6"
@@ -99,12 +94,11 @@ def cells(scale=DEFAULT_SCALE, effort="quick", kappa_s_values=(1, 2, 3),
 
 
 def run(scale=DEFAULT_SCALE, effort="quick", kappa_s_values=(1, 2, 3),
-        seed=0, time_budget_per_cell=None, campaign=None, dip_batch=1,
-        solver=DEFAULT_BACKEND):
+        seed=0, time_budget_per_cell=None, campaign=None, dip_batch=1):
     campaign = campaign if campaign is not None else Campaign()
     specs = cells(scale=scale, effort=effort, kappa_s_values=kappa_s_values,
                   seed=seed, time_budget_per_cell=time_budget_per_cell,
-                  dip_batch=dip_batch, solver=solver)
+                  dip_batch=dip_batch)
     results = campaign.run(specs)
     # A failed or timed-out attack cell degrades to extrapolation (the
     # paper's own protocol for unfinished cells) instead of aborting.

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from repro.attacks.seq_sat import attack_locked_circuit
 from repro.core.analytic import ndip_trilock
 from repro.errors import ExtrapolationError
-from repro.sat import DEFAULT_BACKEND
 
 
 @dataclass
@@ -37,17 +36,16 @@ class ResilienceMeasurement:
 
 
 def measure_resilience(locked, max_dips=None, time_budget=None,
-                       dip_batch=1, solver=DEFAULT_BACKEND):
+                       dip_batch=1):
     """Attack a locked circuit at ``b* = κs`` and record the cost.
 
-    ``dip_batch``/``solver`` select the attack engine (DIPs pinned per
-    miter round, registered solver backend name); the defaults are the
-    classic attack.
+    ``dip_batch`` is the number of DIPs pinned per miter round; the
+    default, 1, is the classic attack.
     """
     start = time.perf_counter()
     result = attack_locked_circuit(
         locked, max_dips=max_dips, time_budget=time_budget,
-        dip_batch=dip_batch, solver=solver)
+        dip_batch=dip_batch)
     elapsed = time.perf_counter() - start
     key_correct = bool(
         result.success and result.key is not None

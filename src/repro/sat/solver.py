@@ -240,7 +240,6 @@ class Solver:
 
     def stats(self):
         return {
-            "backend": "cdcl",
             "vars": self._num_vars,
             "clauses": len(self._clauses),
             "learnts": len(self._learnts),

@@ -8,13 +8,13 @@ as read-only or copy them first).
 from __future__ import annotations
 
 import functools
-import shlex
 
 import pytest
 
+import repro.attacks.comb_sat
 from repro.bench.synth import generate_circuit
 from repro.core import TriLockConfig, lock
-from repro.sat import in_tree_engine_argv
+from repro.sat import Solver
 
 
 @functools.lru_cache(maxsize=None)
@@ -53,13 +53,30 @@ def _hermetic_cache_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "repro-cache"))
 
 
+class PhaseTrueSolver(Solver):
+    """The in-tree engine with saved phase ``True`` for new variables:
+    a second search, whose first decisions try the opposite polarity,
+    so the DIP loop walks other DIPs and finds other models."""
+
+    def new_var(self):
+        var = super().new_var()
+        self._phase[var] = True
+        return var
+
+
 @pytest.fixture
-def native_engine(monkeypatch):
-    """Back the ``native`` solver backend with the in-tree DIMACS engine:
-    each solve runs a fresh ``Solver`` in a subprocess, with the
-    assumptions as unit clauses, instead of the ``cdcl`` backend's one
-    incremental search."""
-    monkeypatch.setenv("REPRO_SAT_BINARY", shlex.join(in_tree_engine_argv()))
+def phase_true_search(monkeypatch):
+    """Make every DIP engine built during the test search with
+    :class:`PhaseTrueSolver`; returns the list of solvers built."""
+    built = []
+
+    class Recording(PhaseTrueSolver):
+        def __init__(self):
+            super().__init__()
+            built.append(self)
+
+    monkeypatch.setattr(repro.attacks.comb_sat, "Solver", Recording)
+    return built
 
 
 @pytest.fixture

@@ -19,7 +19,7 @@ from repro.errors import AttackError
 from repro.netlist import GateOp, Netlist, merged
 from repro.netlist.builder import CutBuilder
 from repro.netlist.transform import InputSpecializer
-from repro.sat import Solver, make_backend
+from repro.sat import Solver
 from repro.sim import SequentialSimulator
 from repro.bench.iscas import load_embedded
 from repro.unroll import unroll
@@ -198,10 +198,10 @@ def assert_agrees_with_whole_product(reference, dut, depth, prefix_vectors,
 
 
 class SpySolver:
-    """A real backend that counts its ``solve`` calls."""
+    """A real solver that counts its ``solve`` calls."""
 
     def __init__(self):
-        self._inner = make_backend("cdcl")
+        self._inner = Solver()
         self.solve_calls = 0
 
     def solve(self, *args, **kwargs):

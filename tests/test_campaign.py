@@ -566,8 +566,7 @@ class TestAttackEngineFlags:
     def test_explicit_serial_flags_are_byte_identical(self, capsys):
         base, first_err = self.run_table1(capsys)
         assert "[cache: 0 hits, 1 misses" in first_err
-        explicit, err = self.run_table1(
-            capsys, ["--dip-batch", "1", "--solver", "cdcl"])
+        explicit, err = self.run_table1(capsys, ["--dip-batch", "1"])
         # Same cells (equivalent spellings normalize to one cache key),
         # hence the exact bytes of the default run — seconds included.
         assert explicit == base
@@ -579,10 +578,16 @@ class TestAttackEngineFlags:
         # Knobs are part of the cache key: nothing stale is replayed.
         assert "[cache: 0 hits, 1 misses" in err
 
-    def test_engine_knobs_do_not_change_resilience(self, native_engine):
+    def test_engine_knobs_do_not_change_resilience(self, request):
+        """Batching and a second search (which walks other DIPs) leave
+        Table I's b12 κs=1 S=10 cell at 32 DIPs and the correct key."""
         base = table1_sat_resilience.run(scale=0.08)
-        tuned = table1_sat_resilience.run(scale=0.08, dip_batch=2,
-                                          solver="native")
+        built = request.getfixturevalue("phase_true_search")
+        tuned = table1_sat_resilience.run(scale=0.08, dip_batch=2)
+        assert built
+        assert [(row["circuit"], row["ndip"], row["key_ok"])
+                for row in tuned.rows if row["measured"]] \
+            == [("b12", "32", True)]
         assert [row["ndip"] for row in base.rows] \
             == [row["ndip"] for row in tuned.rows]
         assert [row["key_ok"] for row in base.rows] \
@@ -591,15 +596,8 @@ class TestAttackEngineFlags:
     def test_engine_flags_warn_on_non_attack_experiments(self, capsys):
         assert runner_main(["fig4", "--no-cache", "--dip-batch", "2"]) == 0
         captured = capsys.readouterr()
-        assert "ignores them" in captured.err
-        # No warning when the flags reach an attack experiment.
+        assert "ignores it" in captured.err
+        # No warning when the flag reaches an attack experiment.
         assert runner_main(["table1", "--scale", "0.08", "--no-cache",
                             "--dip-batch", "2"]) == 0
-        assert "ignores them" not in capsys.readouterr().err
-
-    def test_unknown_solver_fails_the_experiment(self, capsys):
-        assert runner_main(["table1", "--scale", "0.08",
-                            "--solver", "minisat-classic"]) == 1
-        captured = capsys.readouterr()
-        assert "FAILED" in captured.out
-        assert "unknown solver backend" in captured.out
+        assert "ignores it" not in capsys.readouterr().err

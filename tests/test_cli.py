@@ -129,6 +129,20 @@ class TestVerifyCommand:
         assert code == 2
         assert "error" in text
 
+    @pytest.mark.parametrize("content", ["not json {", "[1, 2]"])
+    def test_malformed_key_file_is_a_clean_error(self, workspace, content):
+        """Every command that reads a key file rejects one that is not
+        JSON, or not a JSON object, as it rejects a wrong format."""
+        bogus = workspace["tmp"] / "bogus.key"
+        bogus.write_text(content)
+        design = workspace["design"]
+        for argv in (["verify", design, design, str(bogus)],
+                     ["attack", design, design, "--key", str(bogus)],
+                     ["report", design, design, str(bogus)]):
+            code, text = run_cli(argv)
+            assert code == 2, argv
+            assert text == f"error: {bogus} is not a trilock key file\n"
+
 
 class TestAttackCommand:
     def test_attack_recovers_key(self, workspace):
@@ -153,30 +167,16 @@ class TestAttackCommand:
         assert code == 1
         assert "max_dips" in text
 
-    def test_attack_engine_flags(self, workspace, native_engine):
-        """--dip-batch/--solver reach the attack and still recover the
-        key."""
+    def test_attack_engine_flags(self, workspace):
+        """--dip-batch reaches the attack and still recovers the key."""
         run_cli(["lock", workspace["design"], "--kappa-s", "1",
                  "--seed", "3", "--out", workspace["locked"],
                  "--key-out", workspace["key"]])
         code, text = run_cli([
             "attack", workspace["design"], workspace["locked"],
-            "--kappa", "2", "--depth", "1", "--dip-batch", "2",
-            "--solver", "native"])
+            "--kappa", "2", "--depth", "1", "--dip-batch", "2"])
         assert code == 0
         assert "key recovered" in text
-
-    def test_unknown_solver_lists_the_registered_ones(self, workspace):
-        run_cli(["lock", workspace["design"], "--kappa-s", "1",
-                 "--out", workspace["locked"], "--key-out",
-                 workspace["key"]])
-        code, text = run_cli([
-            "attack", workspace["design"], workspace["locked"],
-            "--kappa", "2", "--depth", "1",
-            "--solver", "minisat-classic"])
-        assert code == 2
-        assert "error" in text and "unknown solver backend" in text
-        assert "known: cdcl, native" in text
 
     def test_race_flags_are_gone(self, workspace):
         for flags in (["--attack-jobs", "2"], ["--portfolio", "race"]):
@@ -268,9 +268,7 @@ class TestRegistryListings:
         assert "seq-sat" in by_name
         params = by_name["seq-sat"]["params"]
         assert params["dip_batch"]["default"] == 1
-        assert params["solver"] == {
-            "kind": "str", "default": "cdcl",
-            "doc": params["solver"]["doc"]}
+        assert "solver" not in params
 
 
 class TestMatrixCommand:

@@ -7,9 +7,9 @@ Four claims are established here:
   the default attack — verified by a miter UNSAT check, not by
   comparing key bits (TriLock keys need not be unique on the attacked
   window).
-* *Second engine*: a ``seq-sat`` cell on the ``native`` backend (the
-  in-tree DIMACS engine, a subprocess per solve) pins Theorem 1's DIP
-  count and recovers the key.
+* *Second search*: under :class:`~tests.conftest.PhaseTrueSolver`,
+  which walks other DIPs than the default engine, a ``seq-sat`` cell
+  still pins Theorem 1's DIP count and recovers the key.
 * *Regression*: batched DIP extraction leaves the solver in a state
   equivalent to pinning the same DIPs one at a time (identical
   candidate-key feasible set), even when the batch limit exceeds the
@@ -24,22 +24,28 @@ Run the whole file with ``make test-attacks``.
 
 import pytest
 
+import repro.attacks.comb_sat as comb_sat
 from repro.api import matrix_cell, matrix_cells
 from repro.attacks import (
     DipEngine,
+    SimulationOracle,
     attack_locked_circuit,
     comb_sat_attack,
     unrolled_attack_view,
 )
 from repro.core import ndip_trilock
-from repro.errors import AttackError, SolverError
+from repro.errors import AttackError, SpecError
 from repro.experiments import table1_sat_resilience
 from repro.experiments.common import DEFAULT_SCALE
 from repro.netlist import GateOp, Netlist
-from repro.sat import make_backend
+from repro.sat import Solver
 
-from tests.conftest import batch_oracle, locked_factory
+from tests.conftest import PhaseTrueSolver, batch_oracle, locked_factory
 from tests.util import reference_outputs
+
+#: The two searches the differential grids run: the in-tree engine and
+#: the same engine trying the opposite polarity first.
+SEARCHES = {"cdcl": Solver, "phase-true": PhaseTrueSolver}
 
 
 def and_pair_locked(width=2):
@@ -110,14 +116,13 @@ class TestCombDifferential:
         return netlist, ks, oracle, comb_sat_attack(netlist, ks, oracle)
 
     @pytest.mark.parametrize("dip_batch", [1, 2, 4])
-    @pytest.mark.parametrize("solver", ["cdcl"])
+    @pytest.mark.parametrize("solver", list(SEARCHES))
     def test_same_equivalence_class_as_baseline(self, dip_batch, solver):
         netlist, ks, oracle, base = self.baseline()
         assert base.success
         result = comb_sat_attack(netlist, ks, oracle, dip_batch=dip_batch,
-                                 solver=make_backend(solver))
+                                 solver=SEARCHES[solver]())
         assert result.success
-        assert result.solver_stats["backend"] == solver
         assert_comb_keys_equivalent(netlist, ks, base.key, result.key)
         # Batching may pin extra patterns (it extracts before it learns)
         # but never loops more rounds than it pins DIPs.
@@ -131,13 +136,14 @@ class TestCombDifferential:
 class TestSequentialDifferential:
     @pytest.mark.parametrize("kappa_s", [1, 2])
     @pytest.mark.parametrize("dip_batch", [1, 2, 4])
-    @pytest.mark.parametrize("solver", ["cdcl"])
-    def test_grid_matches_default_attack(self, kappa_s, dip_batch, solver):
+    @pytest.mark.parametrize("solver", list(SEARCHES))
+    def test_grid_matches_default_attack(self, kappa_s, dip_batch, solver,
+                                         monkeypatch):
         locked = locked_factory(kappa_s=kappa_s, kappa_f=1, alpha=0.6,
                                 seed=3)
         base = attack_locked_circuit(locked)
-        result = attack_locked_circuit(locked, dip_batch=dip_batch,
-                                       solver=solver)
+        monkeypatch.setattr(comb_sat, "Solver", SEARCHES[solver])
+        result = attack_locked_circuit(locked, dip_batch=dip_batch)
         assert base.success and result.success
         assert result.verified
         # Theorem 1 makes every data pattern of the window a DIP, so the
@@ -151,49 +157,48 @@ class TestSequentialDifferential:
         """Spelling the engine defaults explicitly changes nothing."""
         locked = locked_factory(kappa_s=1, kappa_f=1, alpha=0.6, seed=3)
         base = attack_locked_circuit(locked)
-        again = attack_locked_circuit(locked, dip_batch=1, solver="cdcl")
+        again = attack_locked_circuit(locked, dip_batch=1)
         assert base.key.as_int == again.key.as_int
         assert base.n_dips == again.n_dips
         assert base.dips_per_depth == again.dips_per_depth
 
-    def test_each_depth_builds_its_own_backend(self, monkeypatch,
-                                               native_engine):
-        """Iterative deepening hands every depth a fresh backend of the
-        named solver."""
-        import repro.attacks.seq_sat as seq_sat
-
-        solvers = []
-        original = seq_sat.comb_sat_attack
-
-        def watching(*args, **kwargs):
-            solvers.append(kwargs["solver"])
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(seq_sat, "comb_sat_attack", watching)
-        locked = locked_factory(kappa_s=2, kappa_f=1, alpha=0.6, seed=3,
-                                n_inputs=1)
-        result = attack_locked_circuit(locked, known_depth=1,
-                                       solver="native")
+    def test_each_depth_builds_its_own_backend(self, phase_true_search):
+        """Iterative deepening hands every depth a fresh solver, and
+        the second search still deepens to the key."""
+        locked = locked_factory(kappa_s=2, kappa_f=1, alpha=0.6, seed=3)
+        result = attack_locked_circuit(locked, known_depth=1)
         assert result.success
-        assert len(solvers) == len(result.depths_tried) >= 2
-        assert len({id(solver) for solver in solvers}) == len(solvers)
-        assert {solver.stats()["backend"] for solver in solvers} \
-            == {"native"}
-
-    def test_unknown_solver_lists_the_registered_ones(self):
-        locked = locked_factory(kappa_s=1, kappa_f=1, alpha=0.6, seed=3)
-        with pytest.raises(SolverError, match=r"known: cdcl, native\)"):
-            attack_locked_circuit(locked, solver="race2")
+        assert len(phase_true_search) == len(result.depths_tried) >= 2
 
 
-class TestNativeEngine:
-    def test_seq_sat_cell_recovers_the_key(self, native_engine):
-        """The registered ``seq-sat`` attack end to end on the ``native``
-        backend, which solves every query from scratch in a DIMACS
-        subprocess: s27 (4 inputs) at κs=1 pins exactly 2^4 DIPs and
+class TestAnotherSearch:
+    """:class:`~tests.conftest.PhaseTrueSolver` is a second search, not
+    the default one in disguise: it walks other DIPs, and Theorem 1
+    still fixes how many."""
+
+    def dips(self, solver):
+        locked = locked_factory(kappa_s=2, kappa_f=1, alpha=0.6, seed=3)
+        view, key_inputs, _ = unrolled_attack_view(
+            locked.netlist, locked.config.kappa, depth=2)
+        oracle = SimulationOracle(locked.original)
+        result = comb_sat_attack(view, key_inputs, oracle.flat_window(2),
+                                 collect_dips=True, solver=solver)
+        assert result.success
+        return result.dips
+
+    def test_walks_other_dips_to_the_same_count(self):
+        base = self.dips(Solver())
+        other = self.dips(PhaseTrueSolver())
+        assert len(base) == len(other) == ndip_trilock(2, 2) == 16
+        assert all(a != b for a, b in zip(base[:5], other[:5]))
+        assert sorted(base) == sorted(other)
+
+    def test_seq_sat_cell_recovers_the_key(self, phase_true_search):
+        """The registered ``seq-sat`` attack end to end under the
+        second search: s27 (4 inputs) at κs=1 pins exactly 2^4 DIPs and
         recovers a correct key."""
-        value = matrix_cell("s27", 0, "trilock?kappa_s=1",
-                            "seq-sat?solver=native")
+        value = matrix_cell("s27", 0, "trilock?kappa_s=1", "seq-sat")
+        assert phase_true_search
         assert value["success"]
         assert value["metrics"]["n_dips"] == ndip_trilock(1, 4) == 16
         assert value["metrics"]["key_ok"]
@@ -210,7 +215,7 @@ class TestSerialIdentity:
                                  TestCombDifferential.SECRET)
         base = comb_sat_attack(netlist, ks, oracle, collect_dips=True)
         again = comb_sat_attack(netlist, ks, oracle, collect_dips=True,
-                                dip_batch=1, solver=make_backend("cdcl"))
+                                dip_batch=1, solver=Solver())
         assert base.dips == again.dips
         assert base.key == again.key
         assert base.n_rounds == again.n_rounds == base.n_dips
@@ -293,12 +298,12 @@ class TestBatchedPinningEquivalence:
         assert_comb_keys_equivalent(netlist, ks, serial.key, batched.key)
 
     def test_unknown_answer_is_an_error_not_unsat(self):
-        """A backend that gives up (answers ``None``) must not read as
+        """A solver that gives up (answers ``None``) must not read as
         'no DIP remains' — that would report success with a wrong key."""
 
         class GivesUp:
             def __init__(self):
-                self._inner = make_backend("cdcl")
+                self._inner = Solver()
 
             def __getattr__(self, name):
                 return getattr(self._inner, name)
@@ -336,24 +341,22 @@ class TestCacheKeyKnobs:
     def test_each_knob_changes_the_key(self):
         base = self.first_key()
         assert self.first_key(dip_batch=4) != base
-        assert self.first_key(solver="native") != base
-        assert self.first_key(solver="cdcl") == base
+        assert self.first_key(dip_batch=1) == base
 
     def test_knob_cells_do_not_collide_pairwise(self):
         keys = {
             self.first_key(),
             self.first_key(dip_batch=2),
             self.first_key(dip_batch=4),
-            self.first_key(solver="native"),
-            self.first_key(dip_batch=2, solver="native"),
         }
-        assert len(keys) == 5
+        assert len(keys) == 3
 
     def test_unknown_solver_fails_eagerly(self):
-        """An unregistered solver name is rejected when the cells are
-        enumerated, before any attack runs."""
-        with pytest.raises(SolverError, match=r"known: cdcl, native\)"):
-            self.first_key(solver="race")
+        """A spec still naming a solver is rejected when the cell is
+        built, before any attack runs: the attacks have one engine."""
+        with pytest.raises(SpecError, match="solver"):
+            matrix_cells(["s27"], ["trilock?kappa_s=1"],
+                         ["seq-sat?solver=cdcl"])
 
     def test_table1_cells_share_the_matrix_keys(self):
         """Every attacked Table I cell is the plain ``seq-sat`` matrix

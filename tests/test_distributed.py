@@ -384,7 +384,7 @@ class TestBackendResolution:
 
     def test_cell_spec_wire_roundtrip(self):
         spec = CellSpec.matrix("s27", "trilock?kappa_s=2",
-                               "seq-sat?solver=native")
+                               "seq-sat?dip_batch=4")
         clone = CellSpec.from_wire(spec.to_wire())
         assert clone == spec
         assert clone.key() == spec.key()

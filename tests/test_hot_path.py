@@ -1,12 +1,9 @@
-"""Hot-path coverage: a differential grid for the native solver
-backend, the FC seed-derivation fix, and the typed-extrapolation-error
-cases."""
-
-import random
+"""Hot-path coverage: the FC seed-derivation fix and the
+typed-extrapolation-error cases."""
 
 import pytest
 
-from repro.errors import ExtrapolationError, SolverError
+from repro.errors import ExtrapolationError
 from repro.experiments import table1_sat_resilience
 from repro.metrics import (
     average_simulated_fc,
@@ -14,62 +11,9 @@ from repro.metrics import (
     simulate_fc,
 )
 from repro.metrics.resilience import ResilienceMeasurement
-from repro.sat import (
-    NativeUnavailableBackend,
-    dpll_solve,
-    make_backend,
-)
 from tests.conftest import locked_factory
-from tests.test_solver_backends import random_3cnf, random_assumptions
 
 pytestmark = pytest.mark.smoke
-
-
-# ----------------------------------------------------------------------
-# Differential grid: the native backend vs the DPLL oracle
-# ----------------------------------------------------------------------
-class TestNewBackendsAgainstDpll:
-    @pytest.mark.parametrize("name", ["native"])
-    @pytest.mark.parametrize("seed", range(6))
-    def test_random_3cnf_with_assumption_stacks(self, name, seed,
-                                                native_engine):
-        rng = random.Random(sum(ord(ch) for ch in name) * 777 + seed)
-        num_vars = rng.randint(4, 12)
-        cnf = random_3cnf(rng, num_vars, rng.randint(4, 50))
-        backend = make_backend(name)
-        ok = backend.add_cnf(cnf)
-        for trial in range(3):
-            assumptions = random_assumptions(rng, num_vars,
-                                             rng.randint(0, 4))
-            got = ok and backend.solve(assumptions=assumptions)
-            want = dpll_solve(cnf, assumptions=assumptions) is not None
-            assert got == want, (name, seed, trial, assumptions)
-            if got:
-                model = backend.model()
-                assert cnf.evaluate(model)
-                for lit in assumptions:
-                    assert model[abs(lit)] == (lit > 0)
-
-    def test_native_incremental_add_between_solves(self, native_engine):
-        backend = make_backend("native")
-        backend.ensure_vars(3)
-        assert backend.add_clause([1, 2])
-        assert backend.solve() is True
-        assert backend.add_clause([-1])
-        assert backend.solve() is True
-        assert backend.model_value(2) is True
-        assert backend.add_clause([-2])
-        assert backend.solve() is False
-
-    def test_native_unavailable_is_actionable(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SAT_BINARY", raising=False)
-        backend = make_backend("native")
-        assert isinstance(backend, NativeUnavailableBackend)
-        assert backend.stats()["available"] is False
-        with pytest.raises(SolverError, match="REPRO_SAT_BINARY"):
-            backend.new_var()
-        with pytest.raises(SolverError, match="python-sat"):
-            backend.solve()
 
 
 # ----------------------------------------------------------------------

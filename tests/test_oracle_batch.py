@@ -38,7 +38,7 @@ from repro.core.baselines import lock_naive
 from repro.core.rivals import lock_sarlock
 from repro.errors import AttackError
 from repro.netlist.transform import InputSpecializer, simplified
-from repro.sat import Solver, make_backend
+from repro.sat import Solver
 from repro.sim import SequentialSimulator, make_rng
 from repro.sim.random_vectors import random_vectors
 
@@ -133,7 +133,7 @@ class SerialOracle(SimulationOracle):
         return [self.query(seq) for seq in sequences]
 
 
-def _attack_pair(kappa_s, dip_batch, solver="cdcl", seed=3):
+def _attack_pair(kappa_s, dip_batch, seed=3):
     """Run the same black-box attack against the serial reference and
     the batched oracle; returns ``(result, oracle)`` for each."""
     locked = locked_factory(kappa_s=kappa_s, seed=seed)
@@ -142,8 +142,8 @@ def _attack_pair(kappa_s, dip_batch, solver="cdcl", seed=3):
         oracle = oracle_class(locked.original)
         out.append((sequential_sat_attack(
             locked.netlist, locked.config.kappa, oracle,
-            known_depth=locked.config.kappa_s, dip_batch=dip_batch,
-            solver=solver), oracle))
+            known_depth=locked.config.kappa_s, dip_batch=dip_batch),
+            oracle))
     return out
 
 
@@ -167,8 +167,9 @@ class TestBatchedSerialDifferential:
         if dip_batch > 1 and batched.n_dips > 1:
             assert batched_oracle.query_count < serial_oracle.query_count
 
-    def test_identical_under_another_solver(self, native_engine):
-        (serial, _), (batched, _) = _attack_pair(1, 2, solver="native")
+    def test_identical_under_another_solver(self, phase_true_search):
+        (serial, _), (batched, _) = _attack_pair(2, 4)
+        assert phase_true_search
         assert batched.key == serial.key
         assert batched.n_dips == serial.n_dips
 
@@ -279,10 +280,10 @@ class TestAttacksAskTheGivenOracle:
 # Pinning: the fold-and-hash engine against a copy-per-pin reference.
 # ----------------------------------------------------------------------
 class SpySolver:
-    """Wraps a real backend and logs every clause it is fed."""
+    """Wraps a real solver and logs every clause it is fed."""
 
     def __init__(self):
-        self._inner = make_backend("cdcl")
+        self._inner = Solver()
         self.clause_log = []
 
     def add_clause(self, lits):

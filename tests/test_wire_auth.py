@@ -11,6 +11,7 @@ import threading
 
 import pytest
 
+import repro.campaign.worker
 from repro.campaign import Campaign, CellSpec, DistributedBackend
 from repro.campaign.wire import (
     MessageBuffer,
@@ -175,9 +176,13 @@ class TestUnauthenticatedPeer:
         assert b'"cell"' not in outcome.get("received", b"")
         assert b'"job"' not in outcome.get("received", b"")
 
-    def test_authed_worker_against_plaintext_scheduler_gives_up(self):
+    def test_authed_worker_against_plaintext_scheduler_gives_up(
+            self, monkeypatch):
         """Mismatch the other way round: a secret-bearing worker must
         not silently fall back to plaintext."""
+        # The plaintext scheduler never sends an auth hello, so the
+        # worker gives up at its handshake deadline; shorten the wait.
+        monkeypatch.setattr(repro.campaign.worker, "_HANDSHAKE_SECONDS", 0.5)
         backend = DistributedBackend(bind="127.0.0.1:0", min_workers=1,
                                      heartbeat_timeout=5.0)
         host, port = backend.address
